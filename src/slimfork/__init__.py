@@ -45,7 +45,7 @@ from .congruence import (
     filter_candidate,
     is_congruence,
     is_prime_ideal,
-    ji_congruence_poset,
+    ji_congruences,
     ji_poset_of,
     lattice_isomorphic,
     prime_ideal_congruence,

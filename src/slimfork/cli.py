@@ -20,21 +20,19 @@ from typing import Optional, Sequence
 from . import __version__, io
 from .campaign import (
     EnumSpec,
+    boundary_ideal_facts,
     enumerate_family,
     search_representation,
     verify_claims,
 )
 from .congruence import (
-    P2_EXEMPT,
-    P2_HOLDS,
+    P2_FAILS,
     check_p1,
+    check_p2,
     congruence_lattice,
     dual_atom_count,
-    is_prime_ideal,
-    ji_poset_of,
+    ji_congruences,
     lattice_isomorphic,
-    prime_ideal_congruence,
-    principal_ideal,
 )
 from .construct import (
     GridSpec,
@@ -111,13 +109,13 @@ def _cmd_check(args) -> int:
             raise ValidationError(f"unknown property {prop!r}; choose from {','.join(PROP_NAMES)}")
     report: dict = {}
     violated = False
-    con = None
+    ji = None
 
-    def lattice_con():
-        nonlocal con
-        if con is None:
-            con = congruence_lattice(diagram)
-        return con
+    def lattice_ji():
+        nonlocal ji
+        if ji is None:
+            ji = ji_congruences(diagram)
+        return ji
 
     for prop in props:
         if prop == "slim":
@@ -140,18 +138,15 @@ def _cmd_check(args) -> int:
                 report["rect_reason"] = str(exc)
                 violated = True
         elif prop == "p1":
-            report["p1"] = check_p1(diagram, lattice_con())
+            report["p1"] = check_p1(diagram, lattice_ji())
             violated |= not report["p1"]
         elif prop == "p2":
-            status = P2_EXEMPT if diagram.n <= 2 else (
-                P2_HOLDS if dual_atom_count(lattice_con()) >= 2 else "fails"
-            )
-            report["p2"] = status
+            report["p2"] = check_p2(diagram, lattice_ji())
             if diagram.n > 2:
-                report["dual_atoms"] = dual_atom_count(lattice_con())
-            violated |= status not in (P2_HOLDS, P2_EXEMPT)
+                report["dual_atoms"] = lattice_ji().dual_atom_count()
+            violated |= report["p2"] == P2_FAILS
         elif prop == "prime-ideals":
-            ok, detail = _prime_ideal_prop(diagram, lattice_con)
+            ok, detail = _prime_ideal_prop(diagram, lattice_ji)
             report["prime_ideals"] = ok
             report["prime_ideals_detail"] = detail
             violated |= not ok
@@ -159,37 +154,19 @@ def _cmd_check(args) -> int:
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
-def _prime_ideal_prop(diagram, lattice_con) -> tuple[bool, dict]:
+def _prime_ideal_prop(diagram, lattice_ji) -> tuple[bool, dict]:
     try:
         profile = rectangular_profile(diagram)
     except NotRectangular as exc:
         return False, {"reason": f"not rectangular: {exc}"}
-    detail: dict = {"c_l": profile.c_l, "c_r": profile.c_r}
-    left = principal_ideal(diagram, profile.c_l)
-    right = principal_ideal(diagram, profile.c_r)
-    detail["left_ideal"] = list(left.members)
-    detail["right_ideal"] = list(right.members)
-    detail["distinct"] = set(left.members) != set(right.members)
-    detail["left_prime"] = is_prime_ideal(diagram, left)
-    detail["right_prime"] = is_prime_ideal(diagram, right)
-    ok = detail["distinct"] and detail["left_prime"] and detail["right_prime"]
-    if ok:
-        con = lattice_con()
-        theta_l = prime_ideal_congruence(diagram, left)
-        theta_r = prime_ideal_congruence(diagram, right)
-        coatoms = {con.members[i] for i in con.coatom_indices()}
-        detail["distinct_dual_atoms"] = (
-            theta_l != theta_r and theta_l in coatoms and theta_r in coatoms
-        )
-        ok = detail["distinct_dual_atoms"]
-    return ok, detail
+    detail = boundary_ideal_facts(diagram, profile, lattice_ji())
+    return detail.get("distinct_dual_atoms", False), detail
 
 
 def _cmd_con(args) -> int:
     diagram = io.load(args.input)
-    con = congruence_lattice(diagram)
     if args.ji:
-        ji = ji_poset_of(con)
+        ji = ji_congruences(diagram)
         covers = []
         for i, ups in enumerate(ji.cover_lists()):
             covers.extend([i, j] for j in ups)
@@ -198,7 +175,9 @@ def _cmd_con(args) -> int:
             "members": [[list(b) for b in part.blocks()] for part in ji.members],
             "covers": covers,
         })
-    elif args.dual_atoms:
+        return EXIT_OK
+    con = congruence_lattice(diagram)
+    if args.dual_atoms:
         _emit({
             "dual_atoms": dual_atom_count(con),
             "members": [

@@ -1,12 +1,18 @@
 """Congruences of a finite lattice diagram.
 
-Provides principal congruences by fixpoint closure, the full
-congruence lattice (materialised through the down-sets of its
-join-irreducible members, which is exact because congruence lattices
-of lattices are distributive), a brute-force oracle that tests every
-set partition, dual-atom counting, prime ideals and their two-block
-congruences, and the necessary-condition filter applied to candidate
-congruence lattices.
+The production engine starts from J(Con L), the ordered set of
+join-irreducible congruences: :func:`ji_congruences` merges the
+covering edges into trajectories through covering squares and runs one
+principal-congruence closure per trajectory. Because congruence lattices
+of lattices are distributive, J(Con L) determines Con L (Birkhoff), and
+every claim is read from it: dual atoms, the two-cover bound, the
+three-element-chain test and dual-atom membership of a congruence. The
+full congruence lattice is built only on demand, as the joins of the
+down-sets of J(Con L).
+
+Also provided: a brute-force oracle that tests every set partition,
+prime ideals and their two-block congruences, and the
+necessary-condition filter applied to candidate congruence lattices.
 """
 
 from __future__ import annotations
@@ -90,16 +96,7 @@ class Partition:
 
     def join(self, other: "Partition") -> "Partition":
         """Transitive closure of the union of the two relations."""
-        n = len(self.block_of)
-        parent = list(range(n))
-        size = [1] * n
-        for src in (self.block_of, other.block_of):
-            first: dict[int, int] = {}
-            for i, b in enumerate(src):
-                j = first.setdefault(b, i)
-                if j != i:
-                    _union(parent, size, i, j)
-        return Partition.normalize([_find(parent, i) for i in range(n)])
+        return _join_all(self.n, (self, other))
 
     def meet(self, other: "Partition") -> "Partition":
         """Common refinement."""
@@ -125,6 +122,19 @@ def _union(parent: list[int], size: list[int], a: int, b: int) -> bool:
     parent[rb] = ra
     size[ra] += size[rb]
     return True
+
+
+def _join_all(n: int, parts: Iterable[Partition]) -> Partition:
+    """Join of partitions of range(n); the identity for no partitions."""
+    parent = list(range(n))
+    size = [1] * n
+    for part in parts:
+        first: dict[int, int] = {}
+        for i, b in enumerate(part.block_of):
+            j = first.setdefault(b, i)
+            if j != i:
+                _union(parent, size, i, j)
+    return Partition.normalize([_find(parent, i) for i in range(n)])
 
 
 def is_congruence(diagram: PlanarDiagram, part: Partition) -> bool:
@@ -207,7 +217,13 @@ class CongruenceLattice:
 
 @dataclass(frozen=True)
 class JiPoset:
-    """The join-irreducible congruences with their refinement order."""
+    """The join-irreducible congruences with their refinement order.
+
+    Members are sorted like the members of a congruence lattice, finest
+    first; ``up`` holds reflexive refinement masks over member indices.
+    By Birkhoff, a congruence corresponds to the down-set of the members
+    that refine it, so the questions below are answered from J alone.
+    """
 
     members: tuple[Partition, ...]
     up: tuple[int, ...]
@@ -220,6 +236,23 @@ class JiPoset:
 
     def maximal_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.members)) if self.up[i] == 1 << i)
+
+    def dual_atom_count(self) -> int:
+        """Dual atoms of Con L: J minus one maximal member, for each one."""
+        return len(self.maximal_indices())
+
+    def is_two_chain(self) -> bool:
+        """Whether J is a two-element chain, i.e. Con L is the three-element chain."""
+        return len(self.members) == 2 and self.dual_atom_count() == 1
+
+    def is_dual_atom(self, theta: Partition) -> bool:
+        """Whether the congruence theta is a dual atom of Con L.
+
+        It is exactly when one member fails to refine theta and that
+        member is maximal. theta must be a congruence of the lattice.
+        """
+        outside = [i for i, m in enumerate(self.members) if not m.refines(theta)]
+        return len(outside) == 1 and self.up[outside[0]] == 1 << outside[0]
 
 
 def _lattice_from_members(members: Iterable[Partition]) -> CongruenceLattice:
@@ -273,22 +306,74 @@ def _restricted_growth_strings(n: int):
     yield from rec(1, 1)
 
 
-def congruence_lattice(diagram: PlanarDiagram) -> CongruenceLattice:
-    """Join-closure of the principal congruences of all covering pairs.
+def ji_congruences(diagram: PlanarDiagram) -> JiPoset:
+    """The join-irreducible congruences, one closure per trajectory.
 
-    The distinct principal congruences of covering pairs are exactly
-    the join-irreducible congruences; every congruence is the join of
-    a down-set of them, and distinct down-sets give distinct joins.
+    The distinct principal congruences of covering pairs are exactly the
+    join-irreducible congruences of a finite lattice. In a covering
+    square o -< a, b -< t = a v b the edges [o, a] and [b, t] are
+    perspective, as are [o, b] and [a, t], and perspective edges generate
+    the same principal congruence. The edges are merged through every covering
+    square (in a slim rectangular lattice the classes are the
+    trajectories, height(L) of them), one closure runs per class, and the
+    distinct results are ordered by refinement: con(a, b) refines theta
+    exactly when theta collapses a with b.
+
+    Self-check: raises ValidatorFailed when a member is the join of the
+    members strictly below it, or when the members do not join to the
+    all-collapsing partition.
     """
-    gens = sorted(
-        {principal_congruence(diagram, a, b) for a, b in diagram.cover_pairs()},
-        key=Partition.sort_key,
-    )
+    edges = list(diagram.cover_pairs())
+    edge_id = {edge: i for i, edge in enumerate(edges)}
+    parent = list(range(len(edges)))
+    size = [1] * len(edges)
+    cov = diagram.cover_mask
+    join_t = diagram.tables.join
+    for o, ups in enumerate(diagram.upper):
+        for k, a in enumerate(ups):
+            for b in ups[k + 1:]:
+                t = join_t[a][b]
+                if (cov[a] >> t) & 1 and (cov[b] >> t) & 1:
+                    _union(parent, size, edge_id[o, a], edge_id[b, t])
+                    _union(parent, size, edge_id[o, b], edge_id[a, t])
+
+    generator: dict[Partition, tuple[int, int]] = {}
+    for i, (a, b) in enumerate(edges):
+        if _find(parent, i) == i:
+            generator.setdefault(principal_congruence(diagram, a, b), (a, b))
+    members = sorted(generator, key=Partition.sort_key)
+    up = [
+        sum(1 << j for j, theta in enumerate(members) if theta.same(*generator[m]))
+        for m in members
+    ]
+
+    n = diagram.n
+    for i, m in enumerate(members):
+        below = [members[j] for j in range(len(members)) if j != i and (up[j] >> i) & 1]
+        if _join_all(n, below) == m:
+            raise ValidatorFailed(
+                f"congruence {m.blocks()} is the join of the members below it"
+            )
+    if n > 1 and _join_all(n, members) != Partition.single_block(n):
+        raise ValidatorFailed("the join-irreducible congruences do not join to the top")
+    return JiPoset(tuple(members), tuple(up))
+
+
+def congruence_lattice(diagram: PlanarDiagram) -> CongruenceLattice:
+    """Every congruence, as the joins of the down-sets of J(Con L).
+
+    Every congruence is the join of the join-irreducible congruences
+    below it, and distinct down-sets give distinct joins. The size is
+    exponential in |J(Con L)|; the claims need only J, so build this
+    only when a caller needs every congruence.
+    """
+    ji = ji_congruences(diagram)
+    gens = ji.members
     k = len(gens)
     strict_down = [0] * k
     for i in range(k):
         for j in range(k):
-            if i != j and gens[j].refines(gens[i]):
+            if i != j and (ji.up[j] >> i) & 1:
                 strict_down[i] |= 1 << j
 
     bottom_part = Partition.singletons(diagram.n)
@@ -333,11 +418,6 @@ def ji_poset_of(con: CongruenceLattice) -> JiPoset:
     return JiPoset(tuple(con.members[i] for i in ji), tuple(up))
 
 
-def ji_congruence_poset(diagram: PlanarDiagram) -> JiPoset:
-    """The ordered set of join-irreducible congruences of the diagram."""
-    return ji_poset_of(congruence_lattice(diagram))
-
-
 def dual_atom_count(lattice: Union[CongruenceLattice, PlanarDiagram]) -> int:
     """Number of elements covered by the top.
 
@@ -361,15 +441,15 @@ def at_most_two_covers(up: Sequence[int]) -> bool:
     return posets.max_upper_covers(up) <= 2
 
 
-def check_p1(diagram: PlanarDiagram, con: CongruenceLattice | None = None) -> bool:
+def check_p1(diagram: PlanarDiagram, ji: JiPoset | None = None) -> bool:
     """Every join-irreducible congruence has at most two covers among
     the join-irreducible congruences."""
-    if con is None:
-        con = congruence_lattice(diagram)
-    return at_most_two_covers(ji_poset_of(con).up)
+    if ji is None:
+        ji = ji_congruences(diagram)
+    return at_most_two_covers(ji.up)
 
 
-def check_p2(diagram: PlanarDiagram, con: CongruenceLattice | None = None) -> str:
+def check_p2(diagram: PlanarDiagram, ji: JiPoset | None = None) -> str:
     """At least two dual atoms in the congruence lattice.
 
     Diagrams with at most two elements are exempt; otherwise returns
@@ -377,9 +457,9 @@ def check_p2(diagram: PlanarDiagram, con: CongruenceLattice | None = None) -> st
     """
     if diagram.n <= 2:
         return P2_EXEMPT
-    if con is None:
-        con = congruence_lattice(diagram)
-    return P2_HOLDS if dual_atom_count(con) >= 2 else P2_FAILS
+    if ji is None:
+        ji = ji_congruences(diagram)
+    return P2_HOLDS if ji.dual_atom_count() >= 2 else P2_FAILS
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,21 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import helpers
-from slimfork import GridSpec, grid
+from slimfork import GridSpec, enumerate_family, grid, verify_claims
+
+
+@pytest.fixture(scope="session")
+def campaign():
+    """The acceptance campaign: family, claim report and elapsed seconds."""
+    start = time.perf_counter()
+    family = enumerate_family(helpers.ACCEPTANCE_SPEC)
+    report = verify_claims(family)
+    elapsed = time.perf_counter() - start
+    return family, report, elapsed
 
 
 @pytest.fixture

@@ -5,14 +5,20 @@ from __future__ import annotations
 import random
 
 from slimfork import (
+    EnumSpec,
     ForkResult,
     GridSpec,
+    JiPoset,
+    Partition,
     PlanarDiagram,
     build_diagram,
     four_cells,
     grid,
     insert_fork,
+    principal_congruence,
 )
+
+ACCEPTANCE_SPEC = EnumSpec(p_max=4, q_max=4, max_forks=3, max_elements=40)
 
 
 def chain(k: int) -> PlanarDiagram:
@@ -37,6 +43,11 @@ def boolean_cube() -> PlanarDiagram:
 def single_coatom_candidate() -> PlanarDiagram:
     # Boolean square with one extra element on top: distributive, one dual atom.
     return build_diagram([[1, 2], [3], [3], [4], []], name="b2-tail")
+
+
+def three_chain_con() -> PlanarDiagram:
+    # Not semimodular; its congruence lattice is the three-element chain.
+    return build_diagram([[1, 3], [2, 4], [5], [5], [5], []], name="c3-con")
 
 
 def s7_result() -> ForkResult:
@@ -96,3 +107,20 @@ def lattice_corpus() -> list[PlanarDiagram]:
 
 def semimodular_corpus() -> list[PlanarDiagram]:
     return [d for d in lattice_corpus() if d.name != "n5"]
+
+
+def all_cover_pairs_ji(diagram: PlanarDiagram) -> JiPoset:
+    """Oracle for ``ji_congruences``: one closure for every covering pair.
+
+    The distinct principal congruences of all covering pairs, sorted
+    finest first and ordered by refinement.
+    """
+    members = sorted(
+        {principal_congruence(diagram, a, b) for a, b in diagram.cover_pairs()},
+        key=Partition.sort_key,
+    )
+    up = [
+        sum(1 << j for j, other in enumerate(members) if m.refines(other))
+        for m in members
+    ]
+    return JiPoset(tuple(members), tuple(up))

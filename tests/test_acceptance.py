@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, printing one verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The family campaign
-(grids up to 4x4, up to 3 forks, at most 40 elements) is built once and
-shared; the determinism criterion rebuilds it under a shuffled work
-order.
+(grids up to 4x4, up to 3 forks, at most 40 elements) is built once per
+session by the ``campaign`` fixture in conftest.py and shared; the
+determinism criterion rebuilds it under a shuffled work order.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-
-import pytest
 
 import helpers
 from slimfork import (
@@ -42,7 +40,7 @@ from slimfork import (
 )
 from slimfork.campaign import NOTE_SINGLE_DUAL_ATOM
 
-FAMILY_SPEC = EnumSpec(p_max=4, q_max=4, max_forks=3, max_elements=40)
+FAMILY_SPEC = helpers.ACCEPTANCE_SPEC
 
 
 @contextmanager
@@ -53,15 +51,6 @@ def criterion(num: int, title: str):
         print(f"[acceptance] criterion {num} ({title}): FAIL")
         raise
     print(f"[acceptance] criterion {num} ({title}): PASS")
-
-
-@pytest.fixture(scope="module")
-def campaign():
-    start = time.perf_counter()
-    family = enumerate_family(FAMILY_SPEC)
-    report = verify_claims(family)
-    elapsed = time.perf_counter() - start
-    return family, report, elapsed
 
 
 def test_criterion_1_oracle_equivalence():

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 import helpers
 from slimfork import (
+    P2_EXEMPT,
+    P2_FAILS,
+    P2_HOLDS,
     GridSpec,
     Partition,
     all_congruences_oracle,
@@ -18,10 +21,12 @@ from slimfork import (
     congruence_lattice,
     dual_atom_count,
     filter_candidate,
+    four_cells,
     grid,
+    insert_fork,
     is_congruence,
     is_prime_ideal,
-    ji_congruence_poset,
+    ji_congruences,
     ji_poset_of,
     lattice_isomorphic,
     posets,
@@ -29,13 +34,17 @@ from slimfork import (
     principal_congruence,
     principal_ideal,
 )
+from slimfork import congruence
 from slimfork.errors import (
     NotAnIdeal,
     NotDistributive,
     NotPrime,
     TooLarge,
     TooSmall,
+    ValidatorFailed,
 )
+
+PREDICATE_CORPUS = helpers.oracle_corpus() + [helpers.three_chain_con()]
 
 
 def blocks(part: Partition) -> list[list[int]]:
@@ -252,19 +261,19 @@ class TestCongruenceLattice:
 
 class TestJiPoset:
     def test_grid32_antichain(self, g32):
-        ji = ji_congruence_poset(g32)
+        ji = ji_congruences(g32)
         assert len(ji) == 3
         assert all(ji.up[i] == 1 << i for i in range(3))
 
     def test_c2_single_point(self, c2):
-        ji = ji_congruence_poset(c2)
+        ji = ji_congruences(c2)
         assert len(ji) == 1
 
     def test_s7_vee_shape(self, s7_result):
         s7 = s7_result.diagram
         u_l, u_r = s7_result.left_leg[0], s7_result.right_leg[0]
         a_l = 2
-        ji = ji_congruence_poset(s7)
+        ji = ji_congruences(s7)
         assert len(ji) == 3
         gamma = principal_congruence(s7, u_l, a_l)
         alpha = principal_congruence(s7, 0, u_l)
@@ -281,7 +290,7 @@ class TestJiPoset:
         principals = {
             principal_congruence(diagram, a, b) for a, b in diagram.cover_pairs()
         }
-        ji = ji_congruence_poset(diagram)
+        ji = ji_congruences(diagram)
         assert set(ji.members) == principals
 
     def test_grid_ji_count_matches_ji_elements(self):
@@ -290,7 +299,77 @@ class TestJiPoset:
             ji_elements = [
                 x for x in range(d.n) if x != d.bottom and len(d.lower[x]) == 1
             ]
-            assert len(ji_congruence_poset(d)) == len(ji_elements)
+            assert len(ji_congruences(d)) == len(ji_elements)
+
+
+class TestJiCongruences:
+    def test_equals_cover_pair_oracle_on_campaign(self, campaign):
+        family, _, _ = campaign
+        for entry in family.members():
+            d = entry.diagram
+            assert ji_congruences(d) == helpers.all_cover_pairs_ji(d), entry.script.to_obj()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_cover_pair_oracle_on_fork_scripts(self, data):
+        p, q = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+        d = grid(GridSpec(p, q))
+        for _ in range(data.draw(st.integers(0, 3))):
+            d = insert_fork(d, data.draw(st.sampled_from(four_cells(d)))).diagram
+        assert ji_congruences(d) == helpers.all_cover_pairs_ji(d)
+
+    @pytest.mark.parametrize("diagram", PREDICATE_CORPUS, ids=lambda d: d.name)
+    def test_equals_ji_of_partition_oracle(self, diagram):
+        expected = ji_poset_of(all_congruences_oracle(diagram))
+        assert ji_congruences(diagram) == expected
+        assert helpers.all_cover_pairs_ji(diagram) == expected
+
+    def test_self_check_rejects_identity_member(self, g22, monkeypatch):
+        monkeypatch.setattr(
+            congruence, "principal_congruence", lambda d, a, b: Partition.singletons(d.n)
+        )
+        with pytest.raises(ValidatorFailed):
+            ji_congruences(g22)
+
+    def test_self_check_rejects_members_below_top(self, g22, monkeypatch):
+        fixed = principal_congruence(g22, 0, 1)
+        monkeypatch.setattr(congruence, "principal_congruence", lambda d, a, b: fixed)
+        with pytest.raises(ValidatorFailed):
+            ji_congruences(g22)
+
+
+class TestJiPredicates:
+    """Claims read from J(Con L), against the full oracle lattice."""
+
+    @pytest.mark.parametrize("diagram", PREDICATE_CORPUS, ids=lambda d: d.name)
+    def test_dual_atom_count_and_p2(self, diagram):
+        coatoms = len(all_congruences_oracle(diagram).coatom_indices())
+        assert ji_congruences(diagram).dual_atom_count() == coatoms
+        expected = P2_EXEMPT if diagram.n <= 2 else (P2_HOLDS if coatoms >= 2 else P2_FAILS)
+        assert check_p2(diagram) == expected
+
+    @pytest.mark.parametrize("diagram", PREDICATE_CORPUS, ids=lambda d: d.name)
+    def test_p1(self, diagram):
+        oracle_ji = ji_poset_of(all_congruences_oracle(diagram))
+        assert check_p1(diagram) == at_most_two_covers(oracle_ji.up)
+
+    @pytest.mark.parametrize("diagram", PREDICATE_CORPUS, ids=lambda d: d.name)
+    def test_not_c3(self, diagram):
+        # every three-element lattice is a chain
+        assert ji_congruences(diagram).is_two_chain() == (
+            len(all_congruences_oracle(diagram)) == 3
+        )
+
+    def test_not_c3_detects_three_chain(self):
+        assert ji_congruences(helpers.three_chain_con()).is_two_chain()
+
+    @pytest.mark.parametrize("diagram", PREDICATE_CORPUS, ids=lambda d: d.name)
+    def test_dual_atom_membership(self, diagram):
+        oracle = all_congruences_oracle(diagram)
+        coatoms = set(oracle.coatom_indices())
+        ji = ji_congruences(diagram)
+        for i, part in enumerate(oracle.members):
+            assert ji.is_dual_atom(part) == (i in coatoms), part.blocks()
 
 
 class TestDualAtoms:
