@@ -13,17 +13,15 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from . import __version__
+from . import __version__, posets
 from .congruence import (
     JiPoset,
-    at_most_two_covers,
-    congruence_lattice,
     filter_candidate,
     is_prime_ideal,
+    j_order_verdicts,
     ji_congruences,
-    lattice_isomorphic,
     prime_ideal_congruence,
     principal_ideal,
 )
@@ -255,12 +253,13 @@ def verify_claims(family: FamilyIndex) -> ClaimReport:
     for entry in family.members():
         lattice = entry.diagram
         ji = ji_congruences(lattice)
+        verdicts = j_order_verdicts(ji.up)
 
         if lattice.n > 2:
-            count = ji.dual_atom_count()
+            count = verdicts.dual_atoms
             record(CLAIM_P2, count >= 2, entry, f"{count} dual atom(s)")
 
-        record(CLAIM_P1, at_most_two_covers(ji.up), entry, "a join-irreducible congruence has more than two covers")
+        record(CLAIM_P1, verdicts.p1, entry, "a join-irreducible congruence has more than two covers")
 
         profile = entry.profile
         if profile.c_l != lattice.top and profile.c_r != lattice.top:
@@ -269,7 +268,7 @@ def verify_claims(family: FamilyIndex) -> ClaimReport:
 
         record(
             CLAIM_NOT_C3,
-            not ji.is_two_chain(),
+            not verdicts.two_chain,
             entry,
             "congruence lattice is the three-element chain",
         )
@@ -287,15 +286,16 @@ def verify_claims(family: FamilyIndex) -> ClaimReport:
 
 def boundary_ideal_facts(
     lattice: PlanarDiagram, profile: RectangularProfile, ji: JiPoset
-) -> dict:
+) -> tuple[bool, dict]:
     """The prime-ideal claim for the two boundary elements, fact by fact.
 
     Records both principal ideals, whether they are distinct and
     whether each is prime. Only when all three hold is
     ``distinct_dual_atoms`` added: whether both two-block congruences
     are dual atoms of Con L, decided from ``ji``. Distinct ideals give
-    distinct two-block congruences. The claim holds exactly when
-    ``distinct_dual_atoms`` is present and true.
+    distinct two-block congruences. Returns whether the claim holds,
+    which is exactly when ``distinct_dual_atoms`` is present and true,
+    and the facts.
     """
     left = principal_ideal(lattice, profile.c_l)
     right = principal_ideal(lattice, profile.c_r)
@@ -313,22 +313,22 @@ def boundary_ideal_facts(
             ji.is_dual_atom(prime_ideal_congruence(lattice, ideal))
             for ideal in (left, right)
         )
-    return facts
+    return facts.get("distinct_dual_atoms", False), facts
 
 
 def _prime_ideal_claim(
     lattice: PlanarDiagram, profile: RectangularProfile, ji: JiPoset
 ) -> tuple[bool, str]:
-    facts = boundary_ideal_facts(lattice, profile, ji)
+    ok, facts = boundary_ideal_facts(lattice, profile, ji)
+    if ok:
+        return True, ""
     if not facts["distinct"]:
         return False, "boundary ideals coincide"
     if not facts["left_prime"]:
         return False, f"[0, {profile.c_l}] is not a prime ideal"
     if not facts["right_prime"]:
         return False, f"[0, {profile.c_r}] is not a prime ideal"
-    if not facts["distinct_dual_atoms"]:
-        return False, "an induced congruence is not a dual atom"
-    return True, ""
+    return False, "an induced congruence is not a dual atom"
 
 
 @dataclass
@@ -347,13 +347,37 @@ class SearchResult:
         }
 
 
+def con_matcher(target: PlanarDiagram) -> Callable[[PlanarDiagram], bool]:
+    """A test of whether Con L of a diagram is isomorphic to ``target``.
+
+    ``target`` must be distributive. By Birkhoff, finite distributive
+    lattices are isomorphic exactly when their J orders are, so the test
+    compares |J| first and then canonical keys of the J orders; the
+    target's key is computed on the first size match only.
+    """
+    _, target_up = posets.join_irreducible_order(target.tables.up)
+    target_key = None
+
+    def matches(diagram: PlanarDiagram) -> bool:
+        nonlocal target_key
+        ji = ji_congruences(diagram)
+        if len(ji) != len(target_up):
+            return False
+        if target_key is None:
+            target_key = posets.canonical_key(posets.cover_lists_from_up(target_up))
+        return posets.canonical_key(ji.cover_lists()) == target_key
+
+    return matches
+
+
 def search_representation(target: PlanarDiagram, spec: EnumSpec) -> SearchResult:
     """Family members whose congruence lattice matches the target.
 
     The necessary-condition filter runs first for targets with more
     than two elements: a single dual atom rejects the target outright,
     without any scan, as does a join-irreducible element with more
-    than two covers. Otherwise the whole family is scanned and every
+    than two covers; a target that is not distributive raises. Otherwise
+    the whole family is scanned with :func:`con_matcher` and every
     witness script is returned.
     """
     if target.n > 2:
@@ -363,13 +387,8 @@ def search_representation(target: PlanarDiagram, spec: EnumSpec) -> SearchResult
         if not profile.p1_ok:
             return SearchResult([], NOTE_P1_VIOLATION, 0)
     family = enumerate_family(spec)
-    witnesses = []
-    for entry in family.members():
-        con = congruence_lattice(entry.diagram)
-        if len(con) != target.n:
-            continue
-        if lattice_isomorphic(con, target):
-            witnesses.append(entry.script)
+    matches = con_matcher(target)
+    witnesses = [entry.script for entry in family.members() if matches(entry.diagram)]
     if witnesses:
         note = f"{len(witnesses)} witness(es) among {len(family)} classes"
     else:

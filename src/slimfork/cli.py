@@ -11,6 +11,7 @@ input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -21,6 +22,7 @@ from . import __version__, io
 from .campaign import (
     EnumSpec,
     boundary_ideal_facts,
+    con_matcher,
     enumerate_family,
     search_representation,
     verify_claims,
@@ -32,7 +34,6 @@ from .congruence import (
     congruence_lattice,
     dual_atom_count,
     ji_congruences,
-    lattice_isomorphic,
 )
 from .construct import (
     GridSpec,
@@ -109,14 +110,7 @@ def _cmd_check(args) -> int:
             raise ValidationError(f"unknown property {prop!r}; choose from {','.join(PROP_NAMES)}")
     report: dict = {}
     violated = False
-    ji = None
-
-    def lattice_ji():
-        nonlocal ji
-        if ji is None:
-            ji = ji_congruences(diagram)
-        return ji
-
+    lattice_ji = functools.cache(lambda: ji_congruences(diagram))
     for prop in props:
         if prop == "slim":
             report["slim"] = is_slim(diagram)
@@ -143,7 +137,7 @@ def _cmd_check(args) -> int:
         elif prop == "p2":
             report["p2"] = check_p2(diagram, lattice_ji())
             if diagram.n > 2:
-                report["dual_atoms"] = lattice_ji().dual_atom_count()
+                report["dual_atoms"] = dual_atom_count(lattice_ji().up)
             violated |= report["p2"] == P2_FAILS
         elif prop == "prime-ideals":
             ok, detail = _prime_ideal_prop(diagram, lattice_ji)
@@ -159,12 +153,18 @@ def _prime_ideal_prop(diagram, lattice_ji) -> tuple[bool, dict]:
         profile = rectangular_profile(diagram)
     except NotRectangular as exc:
         return False, {"reason": f"not rectangular: {exc}"}
-    detail = boundary_ideal_facts(diagram, profile, lattice_ji())
-    return detail.get("distinct_dual_atoms", False), detail
+    return boundary_ideal_facts(diagram, profile, lattice_ji())
 
 
 def _cmd_con(args) -> int:
     diagram = io.load(args.input)
+    if args.dual_atoms:
+        atoms = ji_congruences(diagram).dual_atoms()
+        _emit({
+            "dual_atoms": len(atoms),
+            "members": [[list(b) for b in part.blocks()] for part in atoms],
+        })
+        return EXIT_OK
     if args.ji:
         ji = ji_congruences(diagram)
         covers = []
@@ -177,18 +177,10 @@ def _cmd_con(args) -> int:
         })
         return EXIT_OK
     con = congruence_lattice(diagram)
-    if args.dual_atoms:
-        _emit({
-            "dual_atoms": dual_atom_count(con),
-            "members": [
-                [list(b) for b in con.members[i].blocks()] for i in con.coatom_indices()
-            ],
-        })
-    else:
-        _emit({
-            "size": len(con),
-            "congruences": [[list(b) for b in part.blocks()] for part in con.members],
-        })
+    _emit({
+        "size": len(con),
+        "congruences": [[list(b) for b in part.blocks()] for part in con.members],
+    })
     return EXIT_OK
 
 
@@ -240,9 +232,10 @@ def _cmd_search(args) -> int:
     obj["enum_spec"] = spec.to_obj()
     obj["tool_version"] = __version__
     _emit(obj)
+    matches = con_matcher(target)
     for script in result.witnesses:
         replay, _ = run_script(script)
-        if not lattice_isomorphic(congruence_lattice(replay), target):
+        if not matches(replay):
             print(f"error: witness {script.to_obj()} failed re-verification", file=sys.stderr)
             return EXIT_VIOLATION
     return EXIT_OK

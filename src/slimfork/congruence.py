@@ -5,21 +5,24 @@ join-irreducible congruences: :func:`ji_congruences` merges the
 covering edges into trajectories through covering squares and runs one
 principal-congruence closure per trajectory. Because congruence lattices
 of lattices are distributive, J(Con L) determines Con L (Birkhoff), and
-every claim is read from it: dual atoms, the two-cover bound, the
-three-element-chain test and dual-atom membership of a congruence. The
-full congruence lattice is built only on demand, as the joins of the
-down-sets of J(Con L).
+every claim is read from it by :func:`j_order_verdicts`: the two-cover
+bound, the dual-atom count and the three-element-chain test. The same
+function screens a candidate congruence lattice through the order of its
+own join-irreducible elements. The full congruence lattice is built only
+on demand, as the joins of the down-sets of J(Con L), and is capped at
+CON_MAX_MEMBERS congruences.
 
-Also provided: a brute-force oracle that tests every set partition,
-prime ideals and their two-block congruences, and the
-necessary-condition filter applied to candidate congruence lattices.
+Also provided: prime ideals and their two-block congruences, and
+lattice isomorphism through canonical keys, kept as a test oracle.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 from . import posets
 from .diagram import PlanarDiagram, canonical_key, find_m3, find_n5
@@ -32,7 +35,7 @@ from .errors import (
     ValidatorFailed,
 )
 
-ORACLE_MAX_ELEMENTS = 8
+CON_MAX_MEMBERS = 65_536
 
 P2_HOLDS = "holds"
 P2_EXEMPT = "exempt"
@@ -201,9 +204,6 @@ class CongruenceLattice:
     def __len__(self) -> int:
         return len(self.members)
 
-    def leq(self, i: int, j: int) -> bool:
-        return (self.up[i] >> j) & 1 == 1
-
     def cover_lists(self) -> list[list[int]]:
         return posets.cover_lists_from_up(self.up)
 
@@ -235,15 +235,18 @@ class JiPoset:
         return posets.cover_lists_from_up(self.up)
 
     def maximal_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.members)) if self.up[i] == 1 << i)
+        return tuple(posets.maximal_elements(self.up))
 
-    def dual_atom_count(self) -> int:
-        """Dual atoms of Con L: J minus one maximal member, for each one."""
-        return len(self.maximal_indices())
+    def dual_atoms(self) -> list[Partition]:
+        """The dual atoms of Con L, finest first.
 
-    def is_two_chain(self) -> bool:
-        """Whether J is a two-element chain, i.e. Con L is the three-element chain."""
-        return len(self.members) == 2 and self.dual_atom_count() == 1
+        Each is the join of J minus one maximal member.
+        """
+        atoms = []
+        for i in self.maximal_indices():
+            rest = [m for j, m in enumerate(self.members) if j != i]
+            atoms.append(_join_all(self.members[i].n, rest))
+        return sorted(atoms, key=Partition.sort_key)
 
     def is_dual_atom(self, theta: Partition) -> bool:
         """Whether the congruence theta is a dual atom of Con L.
@@ -252,58 +255,7 @@ class JiPoset:
         member is maximal. theta must be a congruence of the lattice.
         """
         outside = [i for i, m in enumerate(self.members) if not m.refines(theta)]
-        return len(outside) == 1 and self.up[outside[0]] == 1 << outside[0]
-
-
-def _lattice_from_members(members: Iterable[Partition]) -> CongruenceLattice:
-    """Assemble a congruence lattice from an explicit member set."""
-    ms = sorted(set(members), key=Partition.sort_key)
-    k = len(ms)
-    up = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if ms[i].refines(ms[j]):
-                up[i] |= 1 << j
-    n = ms[0].n if ms else 0
-    bottom = ms.index(Partition.singletons(n))
-    top = ms.index(Partition.single_block(n))
-    return CongruenceLattice(tuple(ms), tuple(up), bottom, top)
-
-
-def all_congruences_oracle(diagram: PlanarDiagram) -> CongruenceLattice:
-    """Brute-force oracle: test every set partition for compatibility.
-
-    Exponential in the element count; refuses diagrams with more than
-    ORACLE_MAX_ELEMENTS elements.
-    """
-    if diagram.n > ORACLE_MAX_ELEMENTS:
-        raise TooLarge(
-            f"oracle enumerates all partitions; {diagram.n} > {ORACLE_MAX_ELEMENTS} elements"
-        )
-    found = []
-    for rgs in _restricted_growth_strings(diagram.n):
-        part = Partition(rgs)
-        if is_congruence(diagram, part):
-            found.append(part)
-    return _lattice_from_members(found)
-
-
-def _restricted_growth_strings(n: int):
-    """All set partitions of range(n) as normalized block vectors."""
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-
-    def rec(i: int, width: int):
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(width + 1):
-            a[i] = v
-            yield from rec(i + 1, width + 1 if v == width else width)
-
-    yield from rec(1, 1)
+        return len(outside) == 1 and outside[0] in self.maximal_indices()
 
 
 def ji_congruences(diagram: PlanarDiagram) -> JiPoset:
@@ -365,75 +317,63 @@ def congruence_lattice(diagram: PlanarDiagram) -> CongruenceLattice:
     Every congruence is the join of the join-irreducible congruences
     below it, and distinct down-sets give distinct joins. The size is
     exponential in |J(Con L)|; the claims need only J, so build this
-    only when a caller needs every congruence.
+    only when a caller needs every congruence. Raises TooLarge as soon
+    as there are more than CON_MAX_MEMBERS down-sets.
     """
     ji = ji_congruences(diagram)
-    gens = ji.members
-    k = len(gens)
-    strict_down = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if i != j and (ji.up[j] >> i) & 1:
-                strict_down[i] |= 1 << j
+    k = len(ji)
+    strict_down = [
+        sum(1 << j for j in range(k) if j != i and (ji.up[j] >> i) & 1) for i in range(k)
+    ]
+    try:
+        masks = posets.ideal_masks(strict_down, CON_MAX_MEMBERS)
+    except TooLarge as exc:
+        raise TooLarge(
+            f"the congruence lattice has more than {CON_MAX_MEMBERS} members; "
+            f"J(Con L) has {k}"
+        ) from exc
 
-    bottom_part = Partition.singletons(diagram.n)
-    items: list[tuple[int, Partition]] = [(0, bottom_part)]
-    order = sorted(range(k), key=lambda i: (strict_down[i].bit_count(), i))
-    for e in order:
-        bit = 1 << e
-        need = strict_down[e]
-        gen = gens[e]
-        grown = [(mask | bit, part.join(gen)) for mask, part in items if need & ~mask == 0]
-        items.extend(grown)
-
+    # J is sorted finest first, so the highest member of a down-set is
+    # maximal in it, and removing it leaves a down-set listed earlier.
+    join_of = {0: Partition.singletons(diagram.n)}
+    for mask in masks[1:]:
+        e = mask.bit_length() - 1
+        join_of[mask] = join_of[mask ^ (1 << e)].join(ji.members[e])
     mask_of: dict[Partition, int] = {}
-    for mask, part in items:
+    for mask, part in join_of.items():
         mask_of.setdefault(part, mask)
     ms = sorted(mask_of, key=Partition.sort_key)
     masks = [mask_of[p] for p in ms]
-    up = [0] * len(ms)
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if mi & ~mj == 0:
-                up[i] |= 1 << j
-    bottom = ms.index(bottom_part)
+
+    # up[i]: the members containing every e in member i's down-set.
+    containing = [
+        int("".join(str(m >> e & 1) for m in reversed(masks)), 2)
+        for e in range(k)
+    ]
+    everything = (1 << len(ms)) - 1
+    up = [
+        functools.reduce(operator.and_, (containing[e] for e in posets.bit_indices(m)), everything)
+        for m in masks
+    ]
+    bottom = ms.index(join_of[0])
     top = ms.index(Partition.single_block(diagram.n))
     return CongruenceLattice(tuple(ms), tuple(up), bottom, top)
 
 
 def ji_poset_of(con: CongruenceLattice) -> JiPoset:
     """Members with exactly one lower cover, in their refinement order."""
-    covs = con.cover_lists()
-    lower_count = [0] * len(con.members)
-    for i, ups in enumerate(covs):
-        for j in ups:
-            lower_count[j] += 1
-    ji = [i for i in range(len(con.members)) if lower_count[i] == 1]
-    index = {orig: new for new, orig in enumerate(ji)}
-    up = [0] * len(ji)
-    for new, orig in enumerate(ji):
-        for other in posets.bit_indices(con.up[orig]):
-            if other in index:
-                up[new] |= 1 << index[other]
+    ji, up = posets.join_irreducible_order(con.up)
     return JiPoset(tuple(con.members[i] for i in ji), tuple(up))
 
 
-def dual_atom_count(lattice: Union[CongruenceLattice, PlanarDiagram]) -> int:
-    """Number of elements covered by the top.
+def dual_atom_count(ji_up: Sequence[int]) -> int:
+    """Dual atoms of a finite distributive lattice, from its J order.
 
-    For a congruence lattice the count is taken both from the coatoms
-    and from the maximal join-irreducible members; by distributivity
-    the two must agree, and disagreement raises.
+    ``ji_up`` holds the reflexive up masks of the join-irreducible
+    elements. By Birkhoff each dual atom is the join of J minus one
+    maximal member, so they are as many as the maximal members.
     """
-    if isinstance(lattice, CongruenceLattice):
-        via_coatoms = len(lattice.coatom_indices())
-        via_ji = len(ji_poset_of(lattice).maximal_indices())
-        if via_coatoms != via_ji:
-            raise ValidatorFailed(
-                f"coatom count {via_coatoms} disagrees with maximal join-irreducibles {via_ji}"
-            )
-        return via_coatoms
-    return len(lattice.lower[lattice.top])
+    return len(posets.maximal_elements(ji_up))
 
 
 def at_most_two_covers(up: Sequence[int]) -> bool:
@@ -441,12 +381,34 @@ def at_most_two_covers(up: Sequence[int]) -> bool:
     return posets.max_upper_covers(up) <= 2
 
 
+class JOrderVerdicts(NamedTuple):
+    """What the claims read from the J order of a distributive lattice.
+
+    ``two_chain``: J is a two-element chain, i.e. the lattice is the
+    three-element chain.
+    """
+
+    p1: bool
+    dual_atoms: int
+    two_chain: bool
+
+
+def j_order_verdicts(ji_up: Sequence[int]) -> JOrderVerdicts:
+    """The claim verdicts of a J order given as reflexive up masks."""
+    dual_atoms = dual_atom_count(ji_up)
+    return JOrderVerdicts(
+        p1=at_most_two_covers(ji_up),
+        dual_atoms=dual_atoms,
+        two_chain=len(ji_up) == 2 and dual_atoms == 1,
+    )
+
+
 def check_p1(diagram: PlanarDiagram, ji: JiPoset | None = None) -> bool:
     """Every join-irreducible congruence has at most two covers among
     the join-irreducible congruences."""
     if ji is None:
         ji = ji_congruences(diagram)
-    return at_most_two_covers(ji.up)
+    return j_order_verdicts(ji.up).p1
 
 
 def check_p2(diagram: PlanarDiagram, ji: JiPoset | None = None) -> str:
@@ -459,7 +421,7 @@ def check_p2(diagram: PlanarDiagram, ji: JiPoset | None = None) -> str:
         return P2_EXEMPT
     if ji is None:
         ji = ji_congruences(diagram)
-    return P2_HOLDS if ji.dual_atom_count() >= 2 else P2_FAILS
+    return P2_HOLDS if j_order_verdicts(ji.up).dual_atoms >= 2 else P2_FAILS
 
 
 @dataclass(frozen=True)
@@ -539,8 +501,9 @@ def filter_candidate(candidate: PlanarDiagram) -> CandidateProfile:
 
     p1_ok: every join-irreducible element has at most two covers in the
     order of join-irreducible elements. p2_ok: the lattice has at least
-    two dual atoms. Raises TooSmall for candidates with at most two
-    elements and NotDistributive when a pentagon or diamond exists.
+    two dual atoms. Both are read from that order, as for a congruence
+    lattice. Raises TooSmall for candidates with at most two elements
+    and NotDistributive when a pentagon or diamond exists.
     """
     if candidate.n <= 2:
         raise TooSmall(f"candidate must have more than 2 elements, got {candidate.n}")
@@ -548,26 +511,18 @@ def filter_candidate(candidate: PlanarDiagram) -> CandidateProfile:
         raise NotDistributive("candidate contains a diamond sublattice")
     if find_n5(candidate) is not None:
         raise NotDistributive("candidate contains a pentagon sublattice")
-    ji = [
-        x for x in range(candidate.n)
-        if x != candidate.bottom and len(candidate.lower[x]) == 1
-    ]
-    index = {x: i for i, x in enumerate(ji)}
-    up = [0] * len(ji)
-    for i, x in enumerate(ji):
-        for y in posets.bit_indices(candidate.tables.up[x]):
-            if y in index:
-                up[i] |= 1 << index[y]
-    p1_ok = at_most_two_covers(up)
-    p2_ok = dual_atom_count(candidate) >= 2
-    return CandidateProfile(p1_ok, p2_ok)
+    _, ji_up = posets.join_irreducible_order(candidate.tables.up)
+    verdicts = j_order_verdicts(ji_up)
+    return CandidateProfile(verdicts.p1, verdicts.dual_atoms >= 2)
 
 
 def lattice_isomorphic(a, b) -> bool:
     """Order isomorphism of finite lattices.
 
     Accepts diagrams and congruence lattices in either slot; decided by
-    comparing canonical keys of the cover structures.
+    comparing canonical keys of the cover structures. Factorial on
+    symmetric inputs; search compares J orders instead and keeps this as
+    its test oracle.
     """
     return _structure_key(a) == _structure_key(b)
 

@@ -44,7 +44,7 @@ class ValidatorFailed(LatticeError):
 
 
 class TooLarge(LatticeError):
-    """Input is beyond the brute-force oracle range."""
+    """Input is beyond a documented size cap."""
 
 
 class TooSmall(LatticeError):

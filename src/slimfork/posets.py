@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .errors import CycleDetected
+from .errors import CycleDetected, TooLarge
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -112,11 +112,31 @@ def max_upper_covers(up: Sequence[int]) -> int:
     return max((len(c) for c in cover_lists_from_up(up)), default=0)
 
 
-def ideal_masks(strict_down: Sequence[int]) -> list[int]:
+def maximal_elements(up: Sequence[int]) -> list[int]:
+    """Elements with nothing strictly above them, ascending."""
+    return [i for i, mask in enumerate(up) if mask == 1 << i]
+
+
+def join_irreducible_order(up: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The elements of a finite lattice with exactly one lower cover.
+
+    ``up`` is the lattice's reflexive order. Returns the join-irreducible
+    elements ascending, and their reflexive up masks re-indexed over
+    that list.
+    """
+    lower = predecessor_lists(cover_lists_from_up(up))
+    ji = [i for i, below in enumerate(lower) if len(below) == 1]
+    index = {orig: new for new, orig in enumerate(ji)}
+    return ji, [sum(1 << index[j] for j in bit_indices(up[i]) if j in index) for i in ji]
+
+
+def ideal_masks(strict_down: Sequence[int], limit: int | None = None) -> list[int]:
     """All down-closed subsets, one bitmask each, generated exactly once.
 
     Elements are added along a linear extension, so the list grows from
-    the empty ideal and its length equals the number of ideals.
+    the empty ideal and its length equals the number of ideals. Each
+    ideal comes after every ideal it contains. Raises TooLarge as soon
+    as the list grows past ``limit``.
     """
     n = len(strict_down)
     order = sorted(range(n), key=lambda i: (strict_down[i].bit_count(), i))
@@ -126,6 +146,8 @@ def ideal_masks(strict_down: Sequence[int]) -> list[int]:
         need = strict_down[e]
         grown = [m | bit for m in ideals if need & ~m == 0]
         ideals.extend(grown)
+        if limit is not None and len(ideals) > limit:
+            raise TooLarge(f"more than {limit} down-sets")
     return ideals
 
 

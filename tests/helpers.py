@@ -3,22 +3,31 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from slimfork import (
+    CongruenceLattice,
     EnumSpec,
+    FamilyIndex,
     ForkResult,
+    ForkScript,
     GridSpec,
     JiPoset,
     Partition,
     PlanarDiagram,
     build_diagram,
+    congruence_lattice,
     four_cells,
     grid,
     insert_fork,
+    is_congruence,
+    lattice_isomorphic,
     principal_congruence,
 )
+from slimfork.errors import TooLarge
 
 ACCEPTANCE_SPEC = EnumSpec(p_max=4, q_max=4, max_forks=3, max_elements=40)
+ORACLE_MAX_ELEMENTS = 8
 
 
 def chain(k: int) -> PlanarDiagram:
@@ -32,6 +41,12 @@ def n5() -> PlanarDiagram:
 
 def m3() -> PlanarDiagram:
     return build_diagram([[1, 2, 3], [4], [4], [4], []], name="m3")
+
+
+def boolean(k: int) -> PlanarDiagram:
+    """The Boolean lattice of the subsets of a k-element set."""
+    upper = [[x | 1 << b for b in range(k) if not x >> b & 1] for x in range(1 << k)]
+    return build_diagram(upper, name=f"b{k}")
 
 
 def boolean_cube() -> PlanarDiagram:
@@ -124,3 +139,78 @@ def all_cover_pairs_ji(diagram: PlanarDiagram) -> JiPoset:
         for m in members
     ]
     return JiPoset(tuple(members), tuple(up))
+
+
+def con_diagrams(family: FamilyIndex) -> list[tuple[ForkScript, PlanarDiagram]]:
+    """Each class's witness script with its full Con L as a diagram."""
+    return [
+        (e.script, build_diagram(congruence_lattice(e.diagram).cover_lists()))
+        for e in family.members()
+    ]
+
+
+def con_lattice_witnesses(
+    target: PlanarDiagram, cons: list[tuple[ForkScript, PlanarDiagram]]
+) -> list[ForkScript]:
+    """Oracle for the scan of ``search_representation``.
+
+    ``cons`` comes from ``con_diagrams``. Every class whose full
+    congruence lattice ``lattice_isomorphic`` finds isomorphic to the
+    target is a witness, in family order. Diagrams cache their canonical
+    keys, so reusing ``cons`` across targets keys each Con L once.
+    """
+    return [
+        script for script, con in cons
+        if con.n == target.n and lattice_isomorphic(con, target)
+    ]
+
+
+def _lattice_from_members(members: Iterable[Partition]) -> CongruenceLattice:
+    """Assemble a congruence lattice from an explicit member set."""
+    ms = sorted(set(members), key=Partition.sort_key)
+    k = len(ms)
+    up = [0] * k
+    for i in range(k):
+        for j in range(k):
+            if ms[i].refines(ms[j]):
+                up[i] |= 1 << j
+    n = ms[0].n if ms else 0
+    bottom = ms.index(Partition.singletons(n))
+    top = ms.index(Partition.single_block(n))
+    return CongruenceLattice(tuple(ms), tuple(up), bottom, top)
+
+
+def all_congruences_oracle(diagram: PlanarDiagram) -> CongruenceLattice:
+    """Brute-force oracle: test every set partition for compatibility.
+
+    Exponential in the element count; refuses diagrams with more than
+    ORACLE_MAX_ELEMENTS elements.
+    """
+    if diagram.n > ORACLE_MAX_ELEMENTS:
+        raise TooLarge(
+            f"oracle enumerates all partitions; {diagram.n} > {ORACLE_MAX_ELEMENTS} elements"
+        )
+    found = []
+    for rgs in _restricted_growth_strings(diagram.n):
+        part = Partition(rgs)
+        if is_congruence(diagram, part):
+            found.append(part)
+    return _lattice_from_members(found)
+
+
+def _restricted_growth_strings(n: int):
+    """All set partitions of range(n) as normalized block vectors."""
+    if n == 0:
+        yield ()
+        return
+    a = [0] * n
+
+    def rec(i: int, width: int):
+        if i == n:
+            yield tuple(a)
+            return
+        for v in range(width + 1):
+            a[i] = v
+            yield from rec(i + 1, width + 1 if v == width else width)
+
+    yield from rec(1, 1)

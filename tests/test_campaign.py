@@ -7,6 +7,7 @@ from slimfork import (
     EnumSpec,
     ForkScript,
     GridSpec,
+    build_diagram,
     canonical_key,
     congruence_lattice,
     dual_atom_count,
@@ -15,6 +16,7 @@ from slimfork import (
     is_graded,
     is_semimodular,
     is_slim,
+    ji_poset_of,
     prime_ideal_congruence,
     principal_congruence,
     principal_ideal,
@@ -157,9 +159,10 @@ class TestSearchRepresentation:
         result = search_representation(helpers.chain(2), EnumSpec(3, 3, 1))
         assert result.witnesses == []
         assert result.scanned > 0
-        # every family member has at least two atoms in its congruence lattice
+        # every family member has at least two dual atoms in its congruence lattice
         for entry in enumerate_family(EnumSpec(3, 3, 1)).members():
-            assert dual_atom_count(congruence_lattice(entry.diagram)) >= 2
+            con = congruence_lattice(entry.diagram)
+            assert dual_atom_count(ji_poset_of(con).up) == len(con.coatom_indices()) >= 2
 
     def test_longer_chains_rejected(self):
         for k in (4, 5):
@@ -171,7 +174,7 @@ class TestSearchRepresentation:
             search_representation(helpers.m3(), EnumSpec(2, 2, 0))
 
     def test_s7_con_witnessed(self):
-        from slimfork import build_diagram, lattice_isomorphic
+        from slimfork import lattice_isomorphic
 
         # a square on a one-step stem: the congruence lattice of the
         # single-fork diagram
@@ -179,3 +182,38 @@ class TestSearchRepresentation:
         assert lattice_isomorphic(congruence_lattice(helpers.s7()), target)
         result = search_representation(target, EnumSpec(2, 2, 1))
         assert ForkScript(GridSpec(2, 2), (0,)) in result.witnesses
+
+
+class TestSearchAgainstConLatticeOracle:
+    """Birkhoff search equals the full Con L plus lattice_isomorphic scan."""
+
+    SPEC = EnumSpec(4, 4, 1, 40)
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        return enumerate_family(self.SPEC)
+
+    @pytest.fixture(scope="class")
+    def cons(self, family):
+        return helpers.con_diagrams(family)
+
+    @pytest.mark.parametrize(
+        "target",
+        [helpers.chain(3)] + [helpers.boolean(k) for k in range(2, 6)],
+        ids=lambda d: d.name,
+    )
+    def test_named_targets(self, cons, target):
+        expected = helpers.con_lattice_witnesses(target, cons)
+        assert search_representation(target, self.SPEC).witnesses == expected
+
+    def test_con_of_every_one_fork_class(self, family, cons):
+        one_fork = 0
+        for entry, (script, target) in zip(family.members(), cons):
+            if entry.forks != 1:
+                continue
+            one_fork += 1
+            expected = helpers.con_lattice_witnesses(target, cons)
+            assert script in expected
+            got = search_representation(target, self.SPEC).witnesses
+            assert got == expected, script.to_obj()
+        assert one_fork == 21

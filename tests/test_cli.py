@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 import helpers
-from slimfork import GridSpec, canonical_key, grid, io
+from helpers import all_congruences_oracle
+from slimfork import ForkScript, GridSpec, SearchResult, canonical_key, cli, grid, io
 from slimfork.cli import main
 
 
@@ -143,6 +145,29 @@ class TestConCommand:
         assert status == 0
         assert payload["dual_atoms"] == 2
 
+    @pytest.mark.parametrize("diagram", helpers.oracle_corpus(), ids=lambda d: d.name)
+    def test_dual_atom_members_are_oracle_coatoms(self, workdir, capsys, diagram):
+        io.save(diagram, workdir / "d.json")
+        status, payload = run(capsys, "con", "d.json", "--dual-atoms")
+        assert status == 0
+        oracle = all_congruences_oracle(diagram)
+        coatoms = [
+            [list(b) for b in oracle.members[i].blocks()] for i in oracle.coatom_indices()
+        ]
+        assert payload == {"dual_atoms": len(coatoms), "members": coatoms}
+
+    def test_too_large_exits_two(self, workdir, capsys):
+        # J of the 12 x 12 grid is a 22-element antichain: 2^22 congruences
+        io.save(grid(GridSpec(12, 12)), workdir / "g.json")
+        start = time.perf_counter()
+        status = main(["con", "g.json"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert elapsed < 10.0
+
 
 class TestEnumerateCommand:
     def test_small_campaign(self, workdir, capsys):
@@ -199,6 +224,16 @@ class TestSearchCommand:
         io.save(helpers.m3(), workdir / "m3.json")
         status, _ = run(capsys, "search", "m3.json", "--pmax", "2", "--qmax", "2")
         assert status == 2
+
+    def test_wrong_witness_fails_reverification(self, workdir, capsys, monkeypatch):
+        # Con of the 2 x 3 grid is B3, not B2
+        wrong = SearchResult([ForkScript(GridSpec(2, 3))], "planted", 1)
+        monkeypatch.setattr(cli, "search_representation", lambda target, spec: wrong)
+        io.save(grid(GridSpec(2, 2)), workdir / "b2.json")
+        status = main(["search", "b2.json", "--max-forks", "0"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert "failed re-verification" in captured.err
 
 
 class TestRenderCommand:

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import all_congruences_oracle
 from slimfork import (
     P2_EXEMPT,
     P2_FAILS,
     P2_HOLDS,
     GridSpec,
     Partition,
-    all_congruences_oracle,
     at_most_two_covers,
     check_p1,
     check_p2,
@@ -26,6 +26,7 @@ from slimfork import (
     insert_fork,
     is_congruence,
     is_prime_ideal,
+    j_order_verdicts,
     ji_congruences,
     ji_poset_of,
     lattice_isomorphic,
@@ -203,6 +204,14 @@ class TestCongruenceLattice:
         assert len(con) == 5
         assert len(con.coatom_indices()) == 2
 
+    def test_cap(self, g33, monkeypatch):
+        # Con of the 3 x 3 grid is B4, 16 congruences
+        monkeypatch.setattr(congruence, "CON_MAX_MEMBERS", 16)
+        assert len(congruence_lattice(g33)) == 16
+        monkeypatch.setattr(congruence, "CON_MAX_MEMBERS", 15)
+        with pytest.raises(TooLarge):
+            congruence_lattice(g33)
+
     @pytest.mark.parametrize("diagram", helpers.lattice_corpus(), ids=lambda d: d.name)
     def test_birkhoff_count(self, diagram):
         if diagram.n > 14:
@@ -344,7 +353,7 @@ class TestJiPredicates:
     @pytest.mark.parametrize("diagram", PREDICATE_CORPUS, ids=lambda d: d.name)
     def test_dual_atom_count_and_p2(self, diagram):
         coatoms = len(all_congruences_oracle(diagram).coatom_indices())
-        assert ji_congruences(diagram).dual_atom_count() == coatoms
+        assert dual_atom_count(ji_congruences(diagram).up) == coatoms
         expected = P2_EXEMPT if diagram.n <= 2 else (P2_HOLDS if coatoms >= 2 else P2_FAILS)
         assert check_p2(diagram) == expected
 
@@ -356,12 +365,12 @@ class TestJiPredicates:
     @pytest.mark.parametrize("diagram", PREDICATE_CORPUS, ids=lambda d: d.name)
     def test_not_c3(self, diagram):
         # every three-element lattice is a chain
-        assert ji_congruences(diagram).is_two_chain() == (
+        assert j_order_verdicts(ji_congruences(diagram).up).two_chain == (
             len(all_congruences_oracle(diagram)) == 3
         )
 
     def test_not_c3_detects_three_chain(self):
-        assert ji_congruences(helpers.three_chain_con()).is_two_chain()
+        assert j_order_verdicts(ji_congruences(helpers.three_chain_con()).up).two_chain
 
     @pytest.mark.parametrize("diagram", PREDICATE_CORPUS, ids=lambda d: d.name)
     def test_dual_atom_membership(self, diagram):
@@ -374,18 +383,26 @@ class TestJiPredicates:
 
 class TestDualAtoms:
     def test_chain_has_one(self, c3):
-        assert dual_atom_count(c3) == 1
+        _, ji_up = posets.join_irreducible_order(c3.tables.up)
+        assert dual_atom_count(ji_up) == 1
 
     def test_grid22_con(self, g22):
-        assert dual_atom_count(congruence_lattice(g22)) == 2
+        assert dual_atom_count(ji_poset_of(congruence_lattice(g22)).up) == 2
 
     def test_s7_con(self, s7):
-        assert dual_atom_count(congruence_lattice(s7)) == 2
+        assert dual_atom_count(ji_poset_of(congruence_lattice(s7)).up) == 2
 
     @pytest.mark.parametrize("diagram", helpers.lattice_corpus(), ids=lambda d: d.name)
     def test_coatom_and_ji_counts_agree(self, diagram):
         con = congruence_lattice(diagram)
         assert len(con.coatom_indices()) == len(ji_poset_of(con).maximal_indices())
+
+    def test_dual_atoms_from_j_are_coatoms_on_campaign(self, campaign):
+        family, _, _ = campaign
+        for entry in family.members():
+            con = congruence_lattice(entry.diagram)
+            coatoms = [con.members[i] for i in con.coatom_indices()]
+            assert ji_congruences(entry.diagram).dual_atoms() == coatoms, entry.script.to_obj()
 
 
 class TestP1P2:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from slimfork import posets
-from slimfork.errors import CycleDetected
+from slimfork.errors import CycleDetected, TooLarge
 
 
 def test_topological_order_rejects_cycle():
@@ -59,3 +59,22 @@ def test_canonical_key_distinguishes_and_identifies():
     # relabeled 3-chains: 0 < 2 < 1 and 2 < 1 < 0
     assert posets.canonical_key(chain3) == posets.canonical_key([[2], [], [1]])
     assert posets.canonical_key(chain3) == posets.canonical_key([[], [0], [1]])
+
+
+def test_maximal_elements():
+    square = posets.up_masks([[1, 2], [3], [3], []])
+    assert posets.maximal_elements(square) == [3]
+    assert posets.maximal_elements([0b01, 0b10]) == [0, 1]
+
+
+def test_join_irreducible_order_of_pentagon():
+    up = posets.up_masks([[1, 3], [2], [4], [4], []])
+    # one lower cover each: a=1, b=2, c=3; b lies above a only
+    assert posets.join_irreducible_order(up) == ([1, 2, 3], [0b011, 0b010, 0b100])
+
+
+def test_ideal_masks_limit():
+    antichain = [0, 0, 0]
+    assert len(posets.ideal_masks(antichain, 8)) == 8
+    with pytest.raises(TooLarge):
+        posets.ideal_masks(antichain, 7)
