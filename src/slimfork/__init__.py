@@ -31,12 +31,12 @@ from .congruence import (
     CandidateProfile,
     CongruenceLattice,
     JiPoset,
-    JOrderVerdicts,
     P2_EXEMPT,
     P2_FAILS,
     P2_HOLDS,
     Partition,
     PrincipalIdeal,
+    all_congruences_oracle,
     at_most_two_covers,
     check_p1,
     check_p2,
@@ -45,7 +45,6 @@ from .congruence import (
     filter_candidate,
     is_congruence,
     is_prime_ideal,
-    j_order_verdicts,
     ji_congruences,
     ji_poset_of,
     lattice_isomorphic,

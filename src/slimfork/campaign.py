@@ -18,9 +18,10 @@ from typing import Callable, Optional
 from . import __version__, posets
 from .congruence import (
     JiPoset,
+    at_most_two_covers,
+    dual_atom_count,
     filter_candidate,
     is_prime_ideal,
-    j_order_verdicts,
     ji_congruences,
     prime_ideal_congruence,
     principal_ideal,
@@ -253,22 +254,22 @@ def verify_claims(family: FamilyIndex) -> ClaimReport:
     for entry in family.members():
         lattice = entry.diagram
         ji = ji_congruences(lattice)
-        verdicts = j_order_verdicts(ji.up)
+        count = dual_atom_count(ji.up)
 
         if lattice.n > 2:
-            count = verdicts.dual_atoms
             record(CLAIM_P2, count >= 2, entry, f"{count} dual atom(s)")
 
-        record(CLAIM_P1, verdicts.p1, entry, "a join-irreducible congruence has more than two covers")
+        record(CLAIM_P1, at_most_two_covers(ji.up), entry, "a join-irreducible congruence has more than two covers")
 
         profile = entry.profile
         if profile.c_l != lattice.top and profile.c_r != lattice.top:
             ok, detail = _prime_ideal_claim(lattice, profile, ji)
             record(CLAIM_PRIME_IDEALS, ok, entry, detail)
 
+        # J is a two-element chain exactly when Con L is the three-element chain
         record(
             CLAIM_NOT_C3,
-            not verdicts.two_chain,
+            not (len(ji) == 2 and count == 1),
             entry,
             "congruence lattice is the three-element chain",
         )
@@ -293,9 +294,8 @@ def boundary_ideal_facts(
     whether each is prime. Only when all three hold is
     ``distinct_dual_atoms`` added: whether both two-block congruences
     are dual atoms of Con L, decided from ``ji``. Distinct ideals give
-    distinct two-block congruences. Returns whether the claim holds,
-    which is exactly when ``distinct_dual_atoms`` is present and true,
-    and the facts.
+    distinct two-block congruences. Returns whether the claim holds
+    (exactly when ``distinct_dual_atoms`` is present and true) and the facts.
     """
     left = principal_ideal(lattice, profile.c_l)
     right = principal_ideal(lattice, profile.c_r)
@@ -338,6 +338,8 @@ class SearchResult:
     witnesses: list[ForkScript]
     note: str
     scanned: int
+    # the scan's comparison, from con_matcher; None when no scan ran
+    matches: Optional[Callable[[PlanarDiagram], bool]] = None
 
     def to_obj(self) -> dict:
         return {
@@ -351,9 +353,8 @@ def con_matcher(target: PlanarDiagram) -> Callable[[PlanarDiagram], bool]:
     """A test of whether Con L of a diagram is isomorphic to ``target``.
 
     ``target`` must be distributive. By Birkhoff, finite distributive
-    lattices are isomorphic exactly when their J orders are, so the test
-    compares |J| first and then canonical keys of the J orders; the
-    target's key is computed on the first size match only.
+    lattices are isomorphic exactly when their J orders are: compare |J|,
+    then canonical keys, keying the target on the first size match only.
     """
     _, target_up = posets.join_irreducible_order(target.tables.up)
     target_key = None
@@ -393,4 +394,4 @@ def search_representation(target: PlanarDiagram, spec: EnumSpec) -> SearchResult
         note = f"{len(witnesses)} witness(es) among {len(family)} classes"
     else:
         note = f"no witness among {len(family)} classes"
-    return SearchResult(witnesses, note, len(family))
+    return SearchResult(witnesses, note, len(family), matches)

@@ -22,7 +22,6 @@ from . import __version__, io
 from .campaign import (
     EnumSpec,
     boundary_ideal_facts,
-    con_matcher,
     enumerate_family,
     search_representation,
     verify_claims,
@@ -158,30 +157,21 @@ def _prime_ideal_prop(diagram, lattice_ji) -> tuple[bool, dict]:
 
 def _cmd_con(args) -> int:
     diagram = io.load(args.input)
-    if args.dual_atoms:
-        atoms = ji_congruences(diagram).dual_atoms()
-        _emit({
-            "dual_atoms": len(atoms),
-            "members": [[list(b) for b in part.blocks()] for part in atoms],
-        })
-        return EXIT_OK
     if args.ji:
         ji = ji_congruences(diagram)
-        covers = []
-        for i, ups in enumerate(ji.cover_lists()):
-            covers.extend([i, j] for j in ups)
-        _emit({
-            "count": len(ji),
-            "members": [[list(b) for b in part.blocks()] for part in ji.members],
-            "covers": covers,
-        })
-        return EXIT_OK
-    con = congruence_lattice(diagram)
-    _emit({
-        "size": len(con),
-        "congruences": [[list(b) for b in part.blocks()] for part in con.members],
-    })
+        covers = [[i, j] for i, ups in enumerate(ji.cover_lists()) for j in ups]
+        _emit({"count": len(ji), "members": _block_lists(ji.members), "covers": covers})
+    elif args.dual_atoms:
+        atoms = ji_congruences(diagram).dual_atoms()
+        _emit({"dual_atoms": len(atoms), "members": _block_lists(atoms)})
+    else:
+        con = congruence_lattice(diagram)
+        _emit({"size": len(con), "congruences": _block_lists(con.members)})
     return EXIT_OK
+
+
+def _block_lists(parts) -> list[list[list[int]]]:
+    return [[list(b) for b in part.blocks()] for part in parts]
 
 
 def _enum_spec(args) -> EnumSpec:
@@ -232,10 +222,11 @@ def _cmd_search(args) -> int:
     obj["enum_spec"] = spec.to_obj()
     obj["tool_version"] = __version__
     _emit(obj)
-    matches = con_matcher(target)
+    # Replays each witness script and applies the scan's own J-order
+    # comparison; tests check that comparison against the full Con L.
     for script in result.witnesses:
         replay, _ = run_script(script)
-        if not matches(replay):
+        if not result.matches(replay):
             print(f"error: witness {script.to_obj()} failed re-verification", file=sys.stderr)
             return EXIT_VIOLATION
     return EXIT_OK

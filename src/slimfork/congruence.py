@@ -5,24 +5,21 @@ join-irreducible congruences: :func:`ji_congruences` merges the
 covering edges into trajectories through covering squares and runs one
 principal-congruence closure per trajectory. Because congruence lattices
 of lattices are distributive, J(Con L) determines Con L (Birkhoff), and
-every claim is read from it by :func:`j_order_verdicts`: the two-cover
-bound, the dual-atom count and the three-element-chain test. The same
-function screens a candidate congruence lattice through the order of its
-own join-irreducible elements. The full congruence lattice is built only
-on demand, as the joins of the down-sets of J(Con L), and is capped at
-CON_MAX_MEMBERS congruences.
+every claim is read from it: dual atoms, the two-cover bound, the
+three-element-chain test and dual-atom membership of a congruence. The
+full congruence lattice is built only on demand, as the joins of the
+down-sets of J(Con L), and is capped at CON_MAX_MEMBERS congruences.
 
-Also provided: prime ideals and their two-block congruences, and
-lattice isomorphism through canonical keys, kept as a test oracle.
+Also provided: a brute-force oracle that tests every set partition,
+prime ideals and their two-block congruences, and the
+necessary-condition filter applied to candidate congruence lattices.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import posets
 from .diagram import PlanarDiagram, canonical_key, find_m3, find_n5
@@ -35,6 +32,7 @@ from .errors import (
     ValidatorFailed,
 )
 
+ORACLE_MAX_ELEMENTS = 8
 CON_MAX_MEMBERS = 65_536
 
 P2_HOLDS = "holds"
@@ -255,7 +253,58 @@ class JiPoset:
         member is maximal. theta must be a congruence of the lattice.
         """
         outside = [i for i, m in enumerate(self.members) if not m.refines(theta)]
-        return len(outside) == 1 and outside[0] in self.maximal_indices()
+        return len(outside) == 1 and self.up[outside[0]] == 1 << outside[0]
+
+
+def _lattice_from_members(members: Iterable[Partition]) -> CongruenceLattice:
+    """Assemble a congruence lattice from an explicit member set."""
+    ms = sorted(set(members), key=Partition.sort_key)
+    k = len(ms)
+    up = [0] * k
+    for i in range(k):
+        for j in range(k):
+            if ms[i].refines(ms[j]):
+                up[i] |= 1 << j
+    n = ms[0].n if ms else 0
+    bottom = ms.index(Partition.singletons(n))
+    top = ms.index(Partition.single_block(n))
+    return CongruenceLattice(tuple(ms), tuple(up), bottom, top)
+
+
+def all_congruences_oracle(diagram: PlanarDiagram) -> CongruenceLattice:
+    """Brute-force oracle: test every set partition for compatibility.
+
+    Exponential in the element count; refuses diagrams with more than
+    ORACLE_MAX_ELEMENTS elements.
+    """
+    if diagram.n > ORACLE_MAX_ELEMENTS:
+        raise TooLarge(
+            f"oracle enumerates all partitions; {diagram.n} > {ORACLE_MAX_ELEMENTS} elements"
+        )
+    found = []
+    for rgs in _restricted_growth_strings(diagram.n):
+        part = Partition(rgs)
+        if is_congruence(diagram, part):
+            found.append(part)
+    return _lattice_from_members(found)
+
+
+def _restricted_growth_strings(n: int):
+    """All set partitions of range(n) as normalized block vectors."""
+    if n == 0:
+        yield ()
+        return
+    a = [0] * n
+
+    def rec(i: int, width: int):
+        if i == n:
+            yield tuple(a)
+            return
+        for v in range(width + 1):
+            a[i] = v
+            yield from rec(i + 1, width + 1 if v == width else width)
+
+    yield from rec(1, 1)
 
 
 def ji_congruences(diagram: PlanarDiagram) -> JiPoset:
@@ -328,10 +377,7 @@ def congruence_lattice(diagram: PlanarDiagram) -> CongruenceLattice:
     try:
         masks = posets.ideal_masks(strict_down, CON_MAX_MEMBERS)
     except TooLarge as exc:
-        raise TooLarge(
-            f"the congruence lattice has more than {CON_MAX_MEMBERS} members; "
-            f"J(Con L) has {k}"
-        ) from exc
+        raise TooLarge(f"Con L has more than {CON_MAX_MEMBERS} members; |J(Con L)| = {k}") from exc
 
     # J is sorted finest first, so the highest member of a down-set is
     # maximal in it, and removing it leaves a down-set listed earlier.
@@ -344,17 +390,11 @@ def congruence_lattice(diagram: PlanarDiagram) -> CongruenceLattice:
         mask_of.setdefault(part, mask)
     ms = sorted(mask_of, key=Partition.sort_key)
     masks = [mask_of[p] for p in ms]
-
-    # up[i]: the members containing every e in member i's down-set.
-    containing = [
-        int("".join(str(m >> e & 1) for m in reversed(masks)), 2)
-        for e in range(k)
-    ]
-    everything = (1 << len(ms)) - 1
-    up = [
-        functools.reduce(operator.and_, (containing[e] for e in posets.bit_indices(m)), everything)
-        for m in masks
-    ]
+    up = [0] * len(ms)
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            if mi & ~mj == 0:
+                up[i] |= 1 << j
     bottom = ms.index(join_of[0])
     top = ms.index(Partition.single_block(diagram.n))
     return CongruenceLattice(tuple(ms), tuple(up), bottom, top)
@@ -381,34 +421,12 @@ def at_most_two_covers(up: Sequence[int]) -> bool:
     return posets.max_upper_covers(up) <= 2
 
 
-class JOrderVerdicts(NamedTuple):
-    """What the claims read from the J order of a distributive lattice.
-
-    ``two_chain``: J is a two-element chain, i.e. the lattice is the
-    three-element chain.
-    """
-
-    p1: bool
-    dual_atoms: int
-    two_chain: bool
-
-
-def j_order_verdicts(ji_up: Sequence[int]) -> JOrderVerdicts:
-    """The claim verdicts of a J order given as reflexive up masks."""
-    dual_atoms = dual_atom_count(ji_up)
-    return JOrderVerdicts(
-        p1=at_most_two_covers(ji_up),
-        dual_atoms=dual_atoms,
-        two_chain=len(ji_up) == 2 and dual_atoms == 1,
-    )
-
-
 def check_p1(diagram: PlanarDiagram, ji: JiPoset | None = None) -> bool:
     """Every join-irreducible congruence has at most two covers among
     the join-irreducible congruences."""
     if ji is None:
         ji = ji_congruences(diagram)
-    return j_order_verdicts(ji.up).p1
+    return at_most_two_covers(ji.up)
 
 
 def check_p2(diagram: PlanarDiagram, ji: JiPoset | None = None) -> str:
@@ -421,7 +439,7 @@ def check_p2(diagram: PlanarDiagram, ji: JiPoset | None = None) -> str:
         return P2_EXEMPT
     if ji is None:
         ji = ji_congruences(diagram)
-    return P2_HOLDS if j_order_verdicts(ji.up).dual_atoms >= 2 else P2_FAILS
+    return P2_HOLDS if dual_atom_count(ji.up) >= 2 else P2_FAILS
 
 
 @dataclass(frozen=True)
@@ -512,8 +530,7 @@ def filter_candidate(candidate: PlanarDiagram) -> CandidateProfile:
     if find_n5(candidate) is not None:
         raise NotDistributive("candidate contains a pentagon sublattice")
     _, ji_up = posets.join_irreducible_order(candidate.tables.up)
-    verdicts = j_order_verdicts(ji_up)
-    return CandidateProfile(verdicts.p1, verdicts.dual_atoms >= 2)
+    return CandidateProfile(at_most_two_covers(ji_up), dual_atom_count(ji_up) >= 2)
 
 
 def lattice_isomorphic(a, b) -> bool:

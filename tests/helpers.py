@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from slimfork import (
-    CongruenceLattice,
     EnumSpec,
     FamilyIndex,
     ForkResult,
@@ -20,14 +18,11 @@ from slimfork import (
     four_cells,
     grid,
     insert_fork,
-    is_congruence,
     lattice_isomorphic,
     principal_congruence,
 )
-from slimfork.errors import TooLarge
 
 ACCEPTANCE_SPEC = EnumSpec(p_max=4, q_max=4, max_forks=3, max_elements=40)
-ORACLE_MAX_ELEMENTS = 8
 
 
 def chain(k: int) -> PlanarDiagram:
@@ -163,54 +158,3 @@ def con_lattice_witnesses(
         script for script, con in cons
         if con.n == target.n and lattice_isomorphic(con, target)
     ]
-
-
-def _lattice_from_members(members: Iterable[Partition]) -> CongruenceLattice:
-    """Assemble a congruence lattice from an explicit member set."""
-    ms = sorted(set(members), key=Partition.sort_key)
-    k = len(ms)
-    up = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if ms[i].refines(ms[j]):
-                up[i] |= 1 << j
-    n = ms[0].n if ms else 0
-    bottom = ms.index(Partition.singletons(n))
-    top = ms.index(Partition.single_block(n))
-    return CongruenceLattice(tuple(ms), tuple(up), bottom, top)
-
-
-def all_congruences_oracle(diagram: PlanarDiagram) -> CongruenceLattice:
-    """Brute-force oracle: test every set partition for compatibility.
-
-    Exponential in the element count; refuses diagrams with more than
-    ORACLE_MAX_ELEMENTS elements.
-    """
-    if diagram.n > ORACLE_MAX_ELEMENTS:
-        raise TooLarge(
-            f"oracle enumerates all partitions; {diagram.n} > {ORACLE_MAX_ELEMENTS} elements"
-        )
-    found = []
-    for rgs in _restricted_growth_strings(diagram.n):
-        part = Partition(rgs)
-        if is_congruence(diagram, part):
-            found.append(part)
-    return _lattice_from_members(found)
-
-
-def _restricted_growth_strings(n: int):
-    """All set partitions of range(n) as normalized block vectors."""
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-
-    def rec(i: int, width: int):
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(width + 1):
-            a[i] = v
-            yield from rec(i + 1, width + 1 if v == width else width)
-
-    yield from rec(1, 1)

@@ -13,10 +13,10 @@ import time
 from contextlib import contextmanager
 
 import helpers
-from helpers import all_congruences_oracle
 from slimfork import (
     EnumSpec,
     GridSpec,
+    all_congruences_oracle,
     canonical_key,
     check_p1,
     check_p2,

@@ -6,8 +6,17 @@ import time
 import pytest
 
 import helpers
-from helpers import all_congruences_oracle
-from slimfork import ForkScript, GridSpec, SearchResult, canonical_key, cli, grid, io
+from slimfork import (
+    ForkScript,
+    GridSpec,
+    SearchResult,
+    all_congruences_oracle,
+    canonical_key,
+    cli,
+    con_matcher,
+    grid,
+    io,
+)
 from slimfork.cli import main
 
 
@@ -227,9 +236,10 @@ class TestSearchCommand:
 
     def test_wrong_witness_fails_reverification(self, workdir, capsys, monkeypatch):
         # Con of the 2 x 3 grid is B3, not B2
-        wrong = SearchResult([ForkScript(GridSpec(2, 3))], "planted", 1)
+        b2 = grid(GridSpec(2, 2))
+        wrong = SearchResult([ForkScript(GridSpec(2, 3))], "planted", 1, con_matcher(b2))
         monkeypatch.setattr(cli, "search_representation", lambda target, spec: wrong)
-        io.save(grid(GridSpec(2, 2)), workdir / "b2.json")
+        io.save(b2, workdir / "b2.json")
         status = main(["search", "b2.json", "--max-forks", "0"])
         captured = capsys.readouterr()
         assert status == 1
