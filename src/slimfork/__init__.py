@@ -16,12 +16,17 @@ from .diagram import (
     is_isomorphic,
     is_semimodular,
     is_slim,
+    planar_key,
 )
 from .construct import (
+    ForkEdit,
     ForkResult,
     ForkScript,
     GridSpec,
     RectangularProfile,
+    build_fork,
+    check_fork_growth,
+    fork_edit,
     grid,
     insert_fork,
     rectangular_profile,

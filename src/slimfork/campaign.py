@@ -1,11 +1,15 @@
 """Exhaustive enumeration of the grid-plus-forks family and claim checks.
 
-Enumeration runs breadth first over fork counts. One work unit expands
-a single frontier diagram at every covering square; unit results are
-merged in sorted order with first-witness-wins, so the family and the
-chosen witness scripts are identical for any work-order permutation.
-Units are pure functions over immutable diagrams and may be executed
-concurrently; the merge is the only sequential step.
+Enumeration runs breadth first over fork counts. One work unit edits
+the cover lists of a single frontier diagram for a fork at every
+covering square and keys each edit by its planar key
+(:func:`diagram.planar_key`), with no order table built. Unit results
+are merged in (key, script) order with first-witness-wins, and only the
+first candidate of each new key is built, validated and profiled, so
+the family and the chosen witness scripts are identical for any
+work-order permutation. Units are pure functions over immutable
+diagrams and may be executed concurrently; the merge is the only
+sequential step.
 """
 
 from __future__ import annotations
@@ -27,14 +31,17 @@ from .congruence import (
     principal_ideal,
 )
 from .construct import (
+    ForkEdit,
     ForkScript,
     GridSpec,
     RectangularProfile,
+    build_fork,
+    check_fork_growth,
+    fork_edit,
     grid,
-    insert_fork,
     rectangular_profile,
 )
-from .diagram import PlanarDiagram, canonical_key, four_cells
+from .diagram import PlanarDiagram, four_cells, planar_key
 from .errors import (
     BudgetExceeded,
     NotRectangular,
@@ -102,11 +109,16 @@ class FamilyEntry:
 
 
 class FamilyIndex:
-    """Isomorphism classes keyed by canonical form, iterated in key order."""
+    """Isomorphism classes keyed by planar key, iterated in key order.
 
-    def __init__(self, spec: EnumSpec, entries: dict[bytes, FamilyEntry]):
+    ``candidates`` counts the grids and forks that were keyed, duplicates
+    included.
+    """
+
+    def __init__(self, spec: EnumSpec, entries: dict[bytes, FamilyEntry], candidates: int):
         self.spec = spec
         self._entries = entries
+        self.candidates = candidates
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -121,38 +133,51 @@ class FamilyIndex:
         return self._entries.get(key)
 
 
-def _candidate(diagram: PlanarDiagram, script: ForkScript, forks: int) -> FamilyEntry:
+def _entry(key: bytes, diagram: PlanarDiagram, script: ForkScript, forks: int) -> FamilyEntry:
     try:
         profile = rectangular_profile(diagram)
     except NotRectangular as exc:
         raise ValidatorFailed(
             f"enumerated diagram from {script.to_obj()} is not rectangular: {exc}"
         ) from exc
-    return FamilyEntry(canonical_key(diagram), diagram, script, profile, forks)
+    return FamilyEntry(key, diagram, script, profile, forks)
 
 
-def _expand(entry: FamilyEntry, spec: EnumSpec, rng: Optional[random.Random]) -> list[FamilyEntry]:
-    """One work unit: fork the entry's diagram at every covering square."""
+def _expand(entry: FamilyEntry, spec: EnumSpec, rng: Optional[random.Random]) -> list[tuple]:
+    """One work unit: the keyed cover-list edit of a fork at every covering square."""
     cells = four_cells(entry.diagram)
     if rng is not None:
         rng.shuffle(cells)
     out = []
     for cell in cells:
-        result = insert_fork(entry.diagram, cell)
-        if result.diagram.n > spec.max_elements:
+        edit = fork_edit(entry.diagram, cell)
+        if len(edit.upper) > spec.max_elements:
             continue
         script = ForkScript(entry.script.grid, entry.script.steps + (cell.o,))
-        out.append(_candidate(result.diagram, script, entry.forks + 1))
+        out.append((planar_key(edit.upper, entry.diagram.bottom), script, edit))
     return out
 
 
-def _merge(entries: dict[bytes, FamilyEntry], wave: list[FamilyEntry], spec: EnumSpec) -> list[FamilyEntry]:
+def _merge(entries: dict[bytes, FamilyEntry], wave: list[tuple], spec: EnumSpec, forks: int) -> list[FamilyEntry]:
+    """Add the first candidate of each new key, in (key, script) order.
+
+    A candidate is (key, script, source), the source being a grid or a
+    fork edit. An edit is built and validated only when it wins its key:
+    equal planar keys mean equal drawings, so validity is the winner's.
+    Every other edit checks its growth over its own parent against the
+    class representative.
+    """
     added = []
-    for cand in sorted(wave, key=lambda e: (e.key, e.script.sort_key())):
-        if cand.key in entries:
+    for key, script, source in sorted(wave, key=lambda c: (c[0], c[1].sort_key())):
+        is_fork = isinstance(source, ForkEdit)
+        entry = entries.get(key)
+        if entry is not None:
+            if is_fork:
+                check_fork_growth(source, entry.diagram)
             continue
-        entries[cand.key] = cand
-        added.append(cand)
+        diagram = build_fork(source).diagram if is_fork else source
+        entries[key] = entry = _entry(key, diagram, script, forks)
+        added.append(entry)
         if len(entries) > spec.max_classes:
             raise BudgetExceeded(f"family exceeded {spec.max_classes} isomorphism classes")
     return added
@@ -170,20 +195,22 @@ def enumerate_family(spec: EnumSpec, shuffle_seed: Optional[int] = None) -> Fami
     for p in range(2, spec.p_max + 1):
         for q in range(2, spec.q_max + 1):
             if p * q <= spec.max_elements:
-                gspec = GridSpec(p, q)
-                seeds.append(_candidate(grid(gspec), ForkScript(gspec), 0))
-    frontier = _merge(entries, seeds, spec)
-    for _ in range(spec.max_forks):
+                g = grid(GridSpec(p, q))
+                seeds.append((planar_key(g.upper, g.bottom), ForkScript(GridSpec(p, q)), g))
+    candidates = len(seeds)
+    frontier = _merge(entries, seeds, spec, 0)
+    for forks in range(1, spec.max_forks + 1):
         units = list(frontier)
         if rng is not None:
             rng.shuffle(units)
-        wave: list[FamilyEntry] = []
+        wave: list[tuple] = []
         for unit in units:
             wave.extend(_expand(unit, spec, rng))
-        frontier = _merge(entries, wave, spec)
+        candidates += len(wave)
+        frontier = _merge(entries, wave, spec, forks)
         if not frontier:
             break
-    return FamilyIndex(spec, entries)
+    return FamilyIndex(spec, entries, candidates)
 
 
 @dataclass
@@ -191,6 +218,7 @@ class ClaimReport:
     """Machine-readable verdicts for the family-wide claims."""
 
     family_size: int
+    candidates: int
     checked: dict[str, int]
     passed: dict[str, int]
     failed: dict[str, int]
@@ -219,6 +247,7 @@ class ClaimReport:
         }
         if include_timing:
             obj["wall_time_s"] = round(self.wall_time_s, 3)
+            obj["stats"] = {"candidates": self.candidates, "classes": self.family_size}
         return obj
 
 
@@ -276,6 +305,7 @@ def verify_claims(family: FamilyIndex) -> ClaimReport:
 
     return ClaimReport(
         family_size=len(family),
+        candidates=family.candidates,
         checked=checked,
         passed=passed,
         failed=failed,

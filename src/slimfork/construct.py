@@ -3,9 +3,11 @@
 A fork adds one new element under a covering square's top, then runs a
 staircase of edge-subdividing elements from the square down-left to
 the left boundary chain and, mirror-symmetrically, down-right to the
-right boundary chain. Insertion is followed by mandatory structural
-validation; a fork that breaks slimness, semimodularity, gradedness or
-the expected size and height bookkeeping raises ValidatorFailed.
+right boundary chain. Insertion is two steps: the cover-list edit
+(:func:`fork_edit`), then the build with mandatory structural
+validation (:func:`build_fork`); a fork that breaks slimness,
+semimodularity, gradedness or the expected size and height
+bookkeeping raises ValidatorFailed.
 """
 
 from __future__ import annotations
@@ -85,6 +87,23 @@ class ForkScript:
 
     def sort_key(self) -> tuple:
         return (self.grid.p, self.grid.q, self.steps)
+
+
+@dataclass(frozen=True)
+class ForkEdit:
+    """A fork's edited cover lists, before they are built and validated.
+
+    ``upper`` and ``lower`` are the new ordered cover lists; the parent's
+    bottom stays the bottom. The lists are not copied: do not mutate them.
+    """
+
+    parent: PlanarDiagram
+    cell: FourCell
+    upper: list[list[int]]
+    lower: list[list[int]]
+    m: int
+    left_leg: tuple[int, ...]
+    right_leg: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -224,15 +243,16 @@ def _staircase(
     raise ValidatorFailed(f"staircase from {steps[0]} did not reach the {side} boundary")
 
 
-def insert_fork(diagram: PlanarDiagram, cell: FourCell) -> ForkResult:
-    """Insert a fork at a covering square of a slim semimodular diagram.
+def fork_edit(diagram: PlanarDiagram, cell: FourCell) -> ForkEdit:
+    """The cover lists of a fork at a covering square, neither built nor validated.
 
     The new top element m is covered by the square's top, slotted
     between the two atoms. Each staircase edge o_k -< w_k is split by a
     new element that also covers the previous leg element (or m), with
     cover-list slots inherited from the edge it subdivides. New ids are
     assigned n, n+1, ... in order m, left leg top-down, right leg
-    top-down. The result is fully revalidated.
+    top-down. Raises NotACell, or ValidatorFailed when a staircase
+    meets no covering square.
     """
     defect = _cell_defect(diagram, cell.o, cell.a_l, cell.a_r, cell.t)
     if defect is not None:
@@ -272,27 +292,53 @@ def insert_fork(diagram: PlanarDiagram, cell: FourCell) -> ForkResult:
         lower[v] = [ok]
         if k:
             lower[rids[k - 1]].append(v)
+    return ForkEdit(diagram, cell, upper, lower, m, tuple(lids), tuple(rids))
 
+
+def check_fork_growth(edit: ForkEdit, out: PlanarDiagram) -> None:
+    """Raise ValidatorFailed unless ``out`` has the edit's size and one more level.
+
+    ``out`` is the built edit or any diagram isomorphic to it.
+    """
+    if out.n != len(edit.upper):
+        raise ValidatorFailed(f"fork at {edit.cell}: expected {len(edit.upper)} elements, got {out.n}")
+    if out.height(out.top) != edit.parent.height(edit.parent.top) + 1:
+        raise ValidatorFailed(f"fork at {edit.cell}: height did not increase by exactly 1")
+
+
+def build_fork(edit: ForkEdit) -> ForkResult:
+    """Build an edit's diagram and validate it in full.
+
+    The result must be a lattice with the expected size and height,
+    graded, semimodular and slim; otherwise ValidatorFailed is raised.
+    """
+    parent, cell = edit.parent, edit.cell
     labels = None
-    if diagram.labels is not None:
-        labels = diagram.labels + (None,) * added
-    name = f"{diagram.name or 'lattice'}-fork{cell.o}"
+    if parent.labels is not None:
+        labels = parent.labels + (None,) * (len(edit.upper) - parent.n)
+    name = f"{parent.name or 'lattice'}-fork{cell.o}"
     try:
-        out = build_diagram(upper, lower=lower, labels=labels, name=name)
+        out = build_diagram(edit.upper, lower=edit.lower, labels=labels, name=name)
     except LatticeError as exc:
         raise ValidatorFailed(f"fork at {cell} produced an invalid diagram: {exc}") from exc
 
-    if out.n != n0 + added:
-        raise ValidatorFailed(f"fork at {cell}: expected {n0 + added} elements, got {out.n}")
-    if out.height(out.top) != diagram.height(diagram.top) + 1:
-        raise ValidatorFailed(f"fork at {cell}: height did not increase by exactly 1")
+    check_fork_growth(edit, out)
     if not is_graded(out):
         raise ValidatorFailed(f"fork at {cell}: result is not graded")
     if not is_semimodular(out):
         raise ValidatorFailed(f"fork at {cell}: result is not semimodular")
     if not is_slim(out):
         raise ValidatorFailed(f"fork at {cell}: result contains a diamond")
-    return ForkResult(out, m, tuple(lids), tuple(rids))
+    return ForkResult(out, edit.m, edit.left_leg, edit.right_leg)
+
+
+def insert_fork(diagram: PlanarDiagram, cell: FourCell) -> ForkResult:
+    """Insert a fork at a covering square of a slim semimodular diagram.
+
+    The cover-list edit of :func:`fork_edit`, then the build and full
+    validation of :func:`build_fork`.
+    """
+    return build_fork(fork_edit(diagram, cell))
 
 
 def run_script(script: ForkScript) -> tuple[PlanarDiagram, tuple[PlanarDiagram, ...]]:

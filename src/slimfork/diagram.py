@@ -331,6 +331,35 @@ def canonical_key(diagram: PlanarDiagram) -> bytes:
     return diagram._key
 
 
+def planar_key(upper: Sequence[Sequence[int]], bottom: int) -> bytes:
+    """Canonical byte string of a drawing, up to relabelling and reflection.
+
+    Works on raw ordered upper-cover lists, every element above
+    ``bottom``. Elements are renumbered by the leftmost-first walk from
+    ``bottom`` and the ordered upper lists are written in that numbering;
+    the mirror image, every list reversed, is written the same way, and
+    the smaller encoding is kept. The key encodes the whole cover
+    digraph, so equal keys mean equal drawings up to relabelling and
+    reflection. A slim rectangular lattice has only one planar diagram
+    up to reflection (Czédli and Grätzer, 2014), so on such lattices the
+    key separates isomorphism classes as :func:`canonical_key` does, in
+    linear time.
+    """
+    mirror = [row[::-1] for row in upper]
+    best = min(_drawing_code(upper, bottom), _drawing_code(mirror, bottom))
+    return repr((len(upper), best)).encode("ascii")
+
+
+def _drawing_code(upper: Sequence[Sequence[int]], bottom: int) -> tuple:
+    rank = _left_preorder(upper, bottom)
+    if -1 in rank:
+        raise ValidationError(f"element {rank.index(-1)} is not above the bottom {bottom}")
+    rows: list[tuple[int, ...]] = [()] * len(upper)
+    for x, row in enumerate(upper):
+        rows[rank[x]] = tuple(map(rank.__getitem__, row))
+    return tuple(rows)
+
+
 def is_isomorphic(a: PlanarDiagram, b: PlanarDiagram) -> bool:
     """Unlabeled order isomorphism, decided through canonical keys."""
     return a.n == b.n and canonical_key(a) == canonical_key(b)

@@ -14,12 +14,14 @@ from slimfork import (
     Partition,
     PlanarDiagram,
     build_diagram,
+    canonical_key,
     congruence_lattice,
     four_cells,
     grid,
     insert_fork,
     lattice_isomorphic,
     principal_congruence,
+    rectangular_profile,
 )
 
 ACCEPTANCE_SPEC = EnumSpec(p_max=4, q_max=4, max_forks=3, max_elements=40)
@@ -81,6 +83,15 @@ def relabel(diagram: PlanarDiagram, perm: list[int]) -> PlanarDiagram:
     for i in range(diagram.n):
         upper[perm[i]] = [perm[j] for j in diagram.upper[i]]
     return build_diagram(upper, name=diagram.name)
+
+
+def mirror(diagram: PlanarDiagram) -> PlanarDiagram:
+    """The left-right reflection: every upper and lower list reversed."""
+    return build_diagram(
+        [row[::-1] for row in diagram.upper],
+        lower=[row[::-1] for row in diagram.lower],
+        name=diagram.name,
+    )
 
 
 def random_permutation(n: int, rng: random.Random) -> list[int]:
@@ -158,3 +169,42 @@ def con_lattice_witnesses(
         script for script, con in cons
         if con.n == target.n and lattice_isomorphic(con, target)
     ]
+
+
+def generic_key_enumeration(
+    spec: EnumSpec,
+) -> tuple[list[tuple[ForkScript, PlanarDiagram]], dict[bytes, tuple[ForkScript, PlanarDiagram]]]:
+    """Oracle for ``enumerate_family``: the enumeration before planar keys.
+
+    Every fork goes through the full ``insert_fork``, which raises on a
+    failed validator, and every candidate must be rectangular. Candidates
+    are keyed by the generic ``canonical_key``; each wave keeps the first
+    candidate of every new key in (key, script) order. Returns every
+    candidate with its script, grids first, and the classes by key.
+    """
+    wave = [
+        (ForkScript(GridSpec(p, q)), grid(GridSpec(p, q)))
+        for p in range(2, spec.p_max + 1)
+        for q in range(2, spec.q_max + 1)
+        if p * q <= spec.max_elements
+    ]
+    candidates: list[tuple[ForkScript, PlanarDiagram]] = []
+    classes: dict[bytes, tuple[ForkScript, PlanarDiagram]] = {}
+    for forks in range(spec.max_forks + 1):
+        candidates += wave
+        frontier = []
+        for script, diagram in sorted(wave, key=lambda c: (canonical_key(c[1]), c[0].sort_key())):
+            rectangular_profile(diagram)
+            key = canonical_key(diagram)
+            if key not in classes:
+                classes[key] = (script, diagram)
+                frontier.append((script, diagram))
+        if forks == spec.max_forks:
+            break
+        wave = []
+        for script, diagram in frontier:
+            for cell in four_cells(diagram):
+                forked = insert_fork(diagram, cell).diagram
+                if forked.n <= spec.max_elements:
+                    wave.append((ForkScript(script.grid, script.steps + (cell.o,)), forked))
+    return candidates, classes

@@ -17,6 +17,7 @@ from slimfork import (
     is_semimodular,
     is_slim,
     ji_poset_of,
+    planar_key,
     prime_ideal_congruence,
     principal_congruence,
     principal_ideal,
@@ -55,8 +56,9 @@ class TestEnumerateFamily:
     def test_s7_entry_present(self):
         family = enumerate_family(EnumSpec(2, 2, 1))
         s7 = helpers.s7()
-        entry = family.get(canonical_key(s7))
+        entry = family.get(planar_key(s7.upper, s7.bottom))
         assert entry is not None
+        assert canonical_key(entry.diagram) == canonical_key(s7)
         assert entry.script == ForkScript(GridSpec(2, 2), (0,))
 
     def test_max_elements_prunes(self):
@@ -86,7 +88,8 @@ class TestEnumerateFamily:
         family = enumerate_family(EnumSpec(3, 3, 2, max_elements=20))
         for entry in family.members():
             replay, _ = run_script(entry.script)
-            assert canonical_key(replay) == entry.key
+            assert planar_key(replay.upper, replay.bottom) == entry.key
+            assert canonical_key(replay) == canonical_key(entry.diagram)
 
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     def test_shuffled_work_order_is_identical(self, seed):
@@ -95,6 +98,46 @@ class TestEnumerateFamily:
         shuffled = enumerate_family(spec, shuffle_seed=seed)
         assert base.keys() == shuffled.keys()
         assert [e.script for e in base.members()] == [e.script for e in shuffled.members()]
+
+
+class TestAgainstGenericKeyEnumeration:
+    """Planar keys before validation give the family of the old path.
+
+    The old path builds and validates every candidate and keys it with
+    the generic canonical key.
+    """
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return helpers.generic_key_enumeration(helpers.ACCEPTANCE_SPEC)
+
+    def test_every_candidate_validates(self, oracle, campaign):
+        candidates, _ = oracle
+        assert len(candidates) == campaign[0].candidates == 1737
+        assert sum(not script.steps for script, _ in candidates) == 9
+
+    def test_planar_and_generic_keys_partition_alike(self, oracle):
+        candidates, _ = oracle
+
+        def partition(key):
+            groups: dict = {}
+            for i, (_, diagram) in enumerate(candidates):
+                groups.setdefault(key(diagram), set()).add(i)
+            return {frozenset(group) for group in groups.values()}
+
+        assert partition(lambda d: planar_key(d.upper, d.bottom)) == partition(canonical_key)
+
+    def test_family_equals_oracle(self, oracle, campaign):
+        _, classes = oracle
+        expected = {
+            planar_key(d.upper, d.bottom): (script, d.upper, d.lower)
+            for script, d in classes.values()
+        }
+        got = {
+            e.key: (e.script, e.diagram.upper, e.diagram.lower)
+            for e in campaign[0].members()
+        }
+        assert got == expected
 
 
 class TestVerifyClaims:
@@ -139,7 +182,14 @@ class TestVerifyClaims:
         assert obj["family_size"] == 2
         assert obj["enum_spec"]["p_max"] == 2
         assert "wall_time_s" in obj
-        assert "wall_time_s" not in verify_claims(family).to_obj(include_timing=False)
+        assert obj["stats"] == {"candidates": 2, "classes": 2}
+        untimed = verify_claims(family).to_obj(include_timing=False)
+        assert "wall_time_s" not in untimed and "stats" not in untimed
+
+    def test_stats_on_acceptance_campaign(self, campaign):
+        family, report, _ = campaign
+        assert family.candidates == 1737
+        assert report.to_obj()["stats"] == {"candidates": 1737, "classes": 842}
 
 
 class TestSearchRepresentation:

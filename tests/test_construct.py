@@ -11,7 +11,10 @@ from slimfork import (
     ForkScript,
     GridSpec,
     boundary_chains,
+    build_fork,
     canonical_key,
+    check_fork_growth,
+    fork_edit,
     four_cells,
     grid,
     insert_fork,
@@ -27,6 +30,7 @@ from slimfork.errors import (
     NotRectangular,
     ScriptError,
     SpecTooSmall,
+    ValidatorFailed,
 )
 
 
@@ -118,6 +122,24 @@ class TestInsertFork:
         for cell in four_cells(m3):
             with pytest.raises(ValidatorFailed):
                 insert_fork(m3, cell)
+
+    def test_edit_then_build(self, g33):
+        cell = four_cells(g33)[0]
+        before = (g33.upper, g33.lower)
+        edit = fork_edit(g33, cell)
+        assert (g33.upper, g33.lower) == before
+        assert len(edit.upper) == len(edit.lower) == g33.n + 1 + len(edit.left_leg) + len(edit.right_leg)
+        built, direct = build_fork(edit), insert_fork(g33, cell)
+        assert (built.diagram.upper, built.diagram.lower) == (direct.diagram.upper, direct.diagram.lower)
+        assert (built.m, built.left_leg, built.right_leg) == (direct.m, direct.left_leg, direct.right_leg)
+
+    def test_growth_check(self, g33):
+        edit = fork_edit(g33, four_cells(g33)[0])
+        check_fork_growth(edit, build_fork(edit).diagram)
+        with pytest.raises(ValidatorFailed, match="elements"):
+            check_fork_growth(edit, g33)
+        with pytest.raises(ValidatorFailed, match="height"):
+            check_fork_growth(edit, helpers.chain(len(edit.upper)))
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("q", [2, 3, 4])

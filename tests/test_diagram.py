@@ -20,6 +20,8 @@ from slimfork import (
     is_isomorphic,
     is_semimodular,
     is_slim,
+    insert_fork,
+    planar_key,
 )
 from slimfork.diagram import find_m3, find_n5
 from slimfork.errors import (
@@ -264,3 +266,35 @@ class TestCanonicalKeys:
         for a in small:
             for b in small:
                 assert is_isomorphic(a, b) == brute_isomorphic(a, b), (a.name, b.name)
+
+
+def _key(diagram):
+    return planar_key(diagram.upper, diagram.bottom)
+
+
+class TestPlanarKey:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_invariant_on_fork_scripts(self, data):
+        p, q = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+        d = grid(GridSpec(p, q))
+        for _ in range(data.draw(st.integers(0, 3))):
+            d = insert_fork(d, data.draw(st.sampled_from(four_cells(d)))).diagram
+        key = _key(d)
+        assert _key(helpers.mirror(d)) == key
+        perm = data.draw(st.permutations(range(d.n)))
+        assert _key(helpers.relabel(d, list(perm))) == key
+
+    def test_grid_transpose_collides(self):
+        assert _key(grid(GridSpec(2, 3))) == _key(grid(GridSpec(3, 2)))
+
+    def test_distinct_classes_in_corpus(self):
+        keys = {}
+        for d in helpers.lattice_corpus():
+            keys.setdefault(_key(d), []).append(d.name)
+        collisions = [names for names in keys.values() if len(names) > 1]
+        assert collisions == [["grid-2x3", "grid-3x2"]]
+
+    def test_rejects_element_not_above_bottom(self):
+        with pytest.raises(ValidationError):
+            planar_key([[1], [], [1]], 0)
