@@ -5,6 +5,7 @@ grid-plus-forks family."""
 __version__ = "0.1.0"
 
 from .diagram import (
+    DIAGRAM_MAX_ELEMENTS,
     FourCell,
     OrderTables,
     PlanarDiagram,
@@ -25,6 +26,7 @@ from .construct import (
     GridSpec,
     RectangularProfile,
     build_fork,
+    cell_at,
     check_fork_growth,
     fork_edit,
     grid,

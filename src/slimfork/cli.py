@@ -36,13 +36,14 @@ from .congruence import (
 )
 from .construct import (
     GridSpec,
+    cell_at,
     grid,
     insert_fork,
     rectangular_profile,
     run_script,
 )
-from .diagram import four_cells, is_graded, is_semimodular, is_slim
-from .errors import LatticeError, NotACell, NotRectangular, ValidationError
+from .diagram import is_graded, is_semimodular, is_slim
+from .errors import LatticeError, NotRectangular, ValidationError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -65,12 +66,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_fork(args) -> int:
     diagram = io.load(args.input)
-    matches = [c for c in four_cells(diagram) if c.o == args.cell]
-    if not matches:
-        raise NotACell(f"no covering square has bottom {args.cell}")
-    if len(matches) > 1:
-        raise NotACell(f"bottom {args.cell} is ambiguous between {matches}")
-    result = insert_fork(diagram, matches[0])
+    result = insert_fork(diagram, cell_at(diagram, args.cell))
     in_path = Path(args.input)
     out = Path(args.out) if args.out else in_path.with_name(
         f"{in_path.stem}-fork{args.cell}.json"

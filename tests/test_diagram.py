@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from slimfork import (
+    DIAGRAM_MAX_ELEMENTS,
     FourCell,
     GridSpec,
     boundary_chains,
@@ -29,6 +30,7 @@ from slimfork.errors import (
     DuplicateCover,
     NotALattice,
     NotBounded,
+    TooLarge,
     ValidationError,
 )
 
@@ -75,9 +77,22 @@ class TestBuild:
         with pytest.raises(NotBounded):
             build_diagram([])
 
-    def test_derived_lower_lists_match_plane_order(self, g33):
-        rebuilt = build_diagram(g33.upper, name=g33.name)
-        assert rebuilt.lower == g33.lower
+    def test_derived_lower_lists_match_plane_order(self):
+        pairs = 0
+        for p in range(2, 9):
+            for q in range(2, 9):
+                pairs += helpers.plane_order_pairs(grid(GridSpec(p, q)))
+        assert pairs == 28 * 28
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mirror_reverses_lower_lists(self, data):
+        d = _fork_script_diagram(data)
+        assert helpers.mirror(d).lower == tuple(row[::-1] for row in d.lower)
+
+    def test_cap(self):
+        with pytest.raises(TooLarge):
+            helpers.chain(DIAGRAM_MAX_ELEMENTS + 1)
 
 
 class TestTables:
@@ -272,14 +287,19 @@ def _key(diagram):
     return planar_key(diagram.upper, diagram.bottom)
 
 
+def _fork_script_diagram(data):
+    p, q = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+    d = grid(GridSpec(p, q))
+    for _ in range(data.draw(st.integers(0, 3))):
+        d = insert_fork(d, data.draw(st.sampled_from(four_cells(d)))).diagram
+    return d
+
+
 class TestPlanarKey:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_invariant_on_fork_scripts(self, data):
-        p, q = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
-        d = grid(GridSpec(p, q))
-        for _ in range(data.draw(st.integers(0, 3))):
-            d = insert_fork(d, data.draw(st.sampled_from(four_cells(d)))).diagram
+        d = _fork_script_diagram(data)
         key = _key(d)
         assert _key(helpers.mirror(d)) == key
         perm = data.draw(st.permutations(range(d.n)))
