@@ -58,6 +58,7 @@ from .congruence import (
     prime_ideal_congruence,
     principal_congruence,
     principal_ideal,
+    swing_ji_congruences,
 )
 from .campaign import (
     ClaimReport,

@@ -26,9 +26,9 @@ from .congruence import (
     dual_atom_count,
     filter_candidate,
     is_prime_ideal,
-    ji_congruences,
     prime_ideal_congruence,
     principal_ideal,
+    swing_ji_congruences,
 )
 from .construct import (
     ForkEdit,
@@ -260,9 +260,10 @@ def verify_claims(family: FamilyIndex) -> ClaimReport:
     when neither boundary element is the top, the two boundary ideals
     are distinct prime ideals whose congruences are two distinct dual
     atoms. not_c3: no congruence lattice is the three-element chain.
-    Every verdict is read from J(Con L); the full congruence lattice is
-    never built. Failures are counted and carry the replayable witness
-    script.
+    Every verdict is read from J(Con L), which the Swing Lemma engine
+    gives without a closure, since every member is slim, planar and
+    semimodular; the full congruence lattice is never built. Failures
+    are counted and carry the replayable witness script.
     """
     start = time.perf_counter()
     checked = {name: 0 for name in CLAIM_NAMES}
@@ -282,7 +283,7 @@ def verify_claims(family: FamilyIndex) -> ClaimReport:
 
     for entry in family.members():
         lattice = entry.diagram
-        ji = ji_congruences(lattice)
+        ji = swing_ji_congruences(lattice)
         count = dual_atom_count(ji.up)
 
         if lattice.n > 2:
@@ -385,13 +386,16 @@ def con_matcher(target: PlanarDiagram) -> Callable[[PlanarDiagram], bool]:
     ``target`` must be distributive. By Birkhoff, finite distributive
     lattices are isomorphic exactly when their J orders are: compare |J|,
     then canonical keys, keying the target on the first size match only.
+    The diagrams matched are family members or replays of their scripts,
+    all slim, planar and semimodular, so J comes from the Swing Lemma
+    engine.
     """
     _, target_up = posets.join_irreducible_order(target.tables.up)
     target_key = None
 
     def matches(diagram: PlanarDiagram) -> bool:
         nonlocal target_key
-        ji = ji_congruences(diagram)
+        ji = swing_ji_congruences(diagram)
         if len(ji) != len(target_up):
             return False
         if target_key is None:

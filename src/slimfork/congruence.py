@@ -1,13 +1,26 @@
 """Congruences of a finite lattice diagram.
 
-The production engine starts from J(Con L), the ordered set of
-join-irreducible congruences: :func:`ji_congruences` merges the
-covering edges into trajectories through covering squares and runs one
-principal-congruence closure per trajectory. Because congruence lattices
-of lattices are distributive, J(Con L) determines Con L (Birkhoff), and
-every claim is read from it: dual atoms, the two-cover bound, the
-three-element-chain test and dual-atom membership of a congruence. The
-full congruence lattice is built only on demand, as the joins of the
+Every question starts from J(Con L), the ordered set of join-irreducible
+congruences. Because congruence lattices of lattices are distributive,
+J(Con L) determines Con L (Birkhoff), and every claim is read from it:
+dual atoms, the two-cover bound, the three-element-chain test and
+dual-atom membership of a congruence. Both engines first merge the
+covering edges into classes through covering squares (the trajectories
+of a slim rectangular lattice); they differ in how they order the
+classes.
+
+- :func:`swing_ji_congruences` needs a slim, planar, semimodular (SPS)
+  diagram and reads the order off the diagram by Grätzer's Swing Lemma,
+  with no closure. It serves the callers whose diagrams are always
+  family members, which are SPS by construction: ``verify_claims`` and
+  the ``search`` matcher.
+- :func:`ji_congruences` works on any finite lattice: it runs one
+  principal-congruence closure per class and compares the results. It
+  serves the CLI's ``check`` and ``con``, whose inputs may be non-SPS
+  (N5, M3, Boolean lattices) or drawn with upper lists in a non-planar
+  order, and it is the test oracle of the swing engine.
+
+The full congruence lattice is built only on demand, as the joins of the
 down-sets of J(Con L), and is capped at CON_MAX_MEMBERS congruences.
 
 Also provided: a brute-force oracle that tests every set partition,
@@ -19,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import posets
 from .diagram import PlanarDiagram, canonical_key, find_m3, find_n5
@@ -213,21 +226,56 @@ class CongruenceLattice:
         return tuple(self.cover_lists()[self.bottom])
 
 
-@dataclass(frozen=True)
 class JiPoset:
     """The join-irreducible congruences with their refinement order.
 
-    Members are sorted like the members of a congruence lattice, finest
-    first; ``up`` holds reflexive refinement masks over member indices.
-    By Birkhoff, a congruence corresponds to the down-set of the members
-    that refine it, so the questions below are answered from J alone.
+    Members are listed finest first, in a linear extension of the order:
+    a member comes after every member it strictly refines. ``up`` holds
+    reflexive refinement masks over member indices, and ``generators[i]``
+    is a pair (a, b) with con(a, b) equal to member i; the two diagram
+    engines give a covering edge. By Birkhoff, a congruence corresponds
+    to the down-set of the members that refine it, so the questions below
+    are answered from J alone.
+
+    ``members`` may be given as a function of no arguments, which is
+    called when the partitions are first read. Two posets are equal when
+    they have the same members in the same refinement order, whatever
+    order lists them.
     """
 
-    members: tuple[Partition, ...]
-    up: tuple[int, ...]
+    __slots__ = ("up", "generators", "_members")
+
+    def __init__(
+        self,
+        members: Sequence[Partition] | Callable[[], Sequence[Partition]],
+        up: Sequence[int],
+        generators: Sequence[tuple[int, int]],
+    ):
+        self.up = tuple(up)
+        self.generators = tuple(generators)
+        self._members = members if callable(members) else tuple(members)
+
+    @property
+    def members(self) -> tuple[Partition, ...]:
+        if callable(self._members):
+            self._members = tuple(self._members())
+        return self._members
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.up)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, JiPoset):
+            return NotImplemented
+        return len(self) == len(other) and self._labelled() == other._labelled()
+
+    def __repr__(self) -> str:
+        return f"JiPoset(members={[m.blocks() for m in self.members]}, up={self.up})"
+
+    def _labelled(self) -> dict[Partition, frozenset[Partition]]:
+        """Each member with the set of members it refines."""
+        ms = self.members
+        return {m: frozenset(ms[j] for j in posets.bit_indices(u)) for m, u in zip(ms, self.up)}
 
     def cover_lists(self) -> list[list[int]]:
         return posets.cover_lists_from_up(self.up)
@@ -250,9 +298,11 @@ class JiPoset:
         """Whether the congruence theta is a dual atom of Con L.
 
         It is exactly when one member fails to refine theta and that
-        member is maximal. theta must be a congruence of the lattice.
+        member is maximal. A member con(a, b) refines theta exactly when
+        theta collapses a with b, so no member partition is read. theta
+        must be a congruence of the lattice.
         """
-        outside = [i for i, m in enumerate(self.members) if not m.refines(theta)]
+        outside = [i for i, (a, b) in enumerate(self.generators) if not theta.same(a, b)]
         return len(outside) == 1 and self.up[outside[0]] == 1 << outside[0]
 
 
@@ -307,22 +357,15 @@ def _restricted_growth_strings(n: int):
     yield from rec(1, 1)
 
 
-def ji_congruences(diagram: PlanarDiagram) -> JiPoset:
-    """The join-irreducible congruences, one closure per trajectory.
+def _edge_classes(diagram: PlanarDiagram) -> dict[tuple[int, int], int]:
+    """The class of every covering edge under perspectivity in squares.
 
-    The distinct principal congruences of covering pairs are exactly the
-    join-irreducible congruences of a finite lattice. In a covering
-    square o -< a, b -< t = a v b the edges [o, a] and [b, t] are
-    perspective, as are [o, b] and [a, t], and perspective edges generate
-    the same principal congruence. The edges are merged through every covering
-    square (in a slim rectangular lattice the classes are the
-    trajectories, height(L) of them), one closure runs per class, and the
-    distinct results are ordered by refinement: con(a, b) refines theta
-    exactly when theta collapses a with b.
-
-    Self-check: raises ValidatorFailed when a member is the join of the
-    members strictly below it, or when the members do not join to the
-    all-collapsing partition.
+    In a covering square o -< a, b -< t = a v b the edges [o, a] and
+    [b, t] are perspective, as are [o, b] and [a, t], and perspective
+    edges generate the same principal congruence. The edges are merged
+    through every covering square; in a slim rectangular lattice the
+    classes are the trajectories, height(L) of them. Classes are numbered
+    0, 1, ... in the order of their first edge in ``cover_pairs``.
     """
     edges = list(diagram.cover_pairs())
     edge_id = {edge: i for i, edge in enumerate(edges)}
@@ -337,11 +380,38 @@ def ji_congruences(diagram: PlanarDiagram) -> JiPoset:
                 if (cov[a] >> t) & 1 and (cov[b] >> t) & 1:
                     _union(parent, size, edge_id[o, a], edge_id[b, t])
                     _union(parent, size, edge_id[o, b], edge_id[a, t])
+    number: dict[int, int] = {}
+    return {
+        edge: number.setdefault(_find(parent, i), len(number)) for i, edge in enumerate(edges)
+    }
 
+
+def ji_congruences(diagram: PlanarDiagram) -> JiPoset:
+    """The join-irreducible congruences of any finite lattice, one closure per class.
+
+    The distinct principal congruences of covering pairs are exactly the
+    join-irreducible congruences of a finite lattice. The edges are
+    merged into classes through covering squares (:func:`_edge_classes`),
+    one closure runs per class, and the distinct results are ordered by
+    refinement: con(a, b) refines theta exactly when theta collapses a
+    with b. Members are sorted by ``Partition.sort_key``.
+
+    This engine makes no assumption on the lattice, so the CLI's
+    ``check`` and ``con`` use it on their inputs, which may be non-SPS
+    or drawn with upper lists in a non-planar order. Family members go
+    through :func:`swing_ji_congruences`, which needs no closure; this
+    engine is its test oracle.
+
+    Self-check: raises ValidatorFailed when a member is the join of the
+    members strictly below it, or when the members do not join to the
+    all-collapsing partition.
+    """
+    first_edge: dict[int, tuple[int, int]] = {}
+    for edge, c in _edge_classes(diagram).items():
+        first_edge.setdefault(c, edge)
     generator: dict[Partition, tuple[int, int]] = {}
-    for i, (a, b) in enumerate(edges):
-        if _find(parent, i) == i:
-            generator.setdefault(principal_congruence(diagram, a, b), (a, b))
+    for a, b in first_edge.values():
+        generator.setdefault(principal_congruence(diagram, a, b), (a, b))
     members = sorted(generator, key=Partition.sort_key)
     up = [
         sum(1 << j for j, theta in enumerate(members) if theta.same(*generator[m]))
@@ -357,7 +427,118 @@ def ji_congruences(diagram: PlanarDiagram) -> JiPoset:
             )
     if n > 1 and _join_all(n, members) != Partition.single_block(n):
         raise ValidatorFailed("the join-irreducible congruences do not join to the top")
-    return JiPoset(tuple(members), tuple(up))
+    return JiPoset(members, up, [generator[m] for m in members])
+
+
+def _swing_arcs(diagram: PlanarDiagram, classes: dict[tuple[int, int], int]) -> list[int]:
+    """Per edge class, the mask of the classes its edges swing to.
+
+    An edge [c, b] swings to [c', b] when b covers at least three
+    elements and c' is neither the leftmost nor the rightmost of them;
+    ``diagram.lower`` lists them left to right.
+    """
+    arcs = [0] * (max(classes.values(), default=-1) + 1)
+    for b, low in enumerate(diagram.lower):
+        if len(low) < 3:
+            continue
+        inner = 0
+        for c in low[1:-1]:
+            inner |= 1 << classes[c, b]
+        for c in low:
+            arcs[classes[c, b]] |= inner
+    return arcs
+
+
+def _forest(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find parents of range(n) after merging along the edges."""
+    parent = list(range(n))
+    for a, b in edges:
+        parent[_find(parent, a)] = _find(parent, b)
+    return parent
+
+
+def swing_ji_congruences(diagram: PlanarDiagram) -> JiPoset:
+    """J(Con L) of a slim, planar, semimodular lattice, with no closure.
+
+    Grätzer's Swing Lemma ("Congruences in slim, planar, semimodular
+    lattices: the Swing Lemma", Acta Sci. Math. (Szeged) 81 (2015); a
+    direct proof is in Czédli and Makay, "Swing lattice game and a direct
+    proof of the Swing Lemma for planar semimodular lattices", Acta Sci.
+    Math. (Szeged) 83 (2017)):
+
+        Let L be an SPS lattice and let p and q be distinct prime
+        intervals in L. Then q is collapsed by con(p) iff there exists a
+        prime interval r and sequence of prime intervals
+        r = r_0, r_1, ..., r_n = q such that p is up-perspective to r,
+        and r_i is up-perspective to, down-perspective to, or swings to
+        r_{i+1} for i = 0, ..., n - 1.
+
+    The lemma goes on to restrict the sequence further; that part is not
+    needed here. p swings to q when 1_p = 1_q covers at least three
+    elements and 0_q is neither the leftmost nor the rightmost of them.
+    In a semimodular lattice a perspectivity of prime intervals is a
+    chain of covering squares, so perspective edges lie in one class of
+    :func:`_edge_classes`, and con(p) collapses q exactly when q's class
+    is reachable from p's by swing arcs (:func:`_swing_arcs`). The
+    reachability is closed over at
+    most height(L) classes with bitmasks. Classes that reach each other
+    generate the same congruence, so each set of them is one member, and
+    member i refines member j exactly when j reaches i. The blocks of a
+    member are the connected components of the edges in the classes it
+    reaches; they are built only when ``members`` is read.
+
+    ``diagram`` must be SPS with ``lower`` in plane order, as every
+    family member is; on other inputs the result is wrong.
+    :func:`ji_congruences` is the engine for any lattice.
+
+    Self-check, as in :func:`ji_congruences`: raises ValidatorFailed
+    when a member is the join of the members strictly below it (its
+    generating edge lies in one component of the edges of the classes it
+    strictly reaches), or when the members do not join to the top.
+    """
+    classes = _edge_classes(diagram)
+    arcs = _swing_arcs(diagram, classes)
+    edges_of: list[list[tuple[int, int]]] = [[] for _ in arcs]
+    for edge, c in classes.items():
+        edges_of[c].append(edge)
+    reach = [arc | 1 << c for c, arc in enumerate(arcs)]
+    for m in range(len(reach)):
+        for i, r in enumerate(reach):
+            if (r >> m) & 1:
+                reach[i] = r | reach[m]
+
+    own: dict[int, int] = {}
+    for c, r in enumerate(reach):
+        own[r] = own.get(r, 0) | 1 << c
+    # fewer classes reached means finer, and the lowest class breaks ties
+    reaches = sorted(own, key=lambda r: (r.bit_count(), own[r] & -own[r]))
+    up = [sum(1 << j for j, rj in enumerate(reaches) if ri & ~rj == 0) for ri in reaches]
+    generators = [edges_of[(own[r] & -own[r]).bit_length() - 1][0] for r in reaches]
+
+    def edges_in(mask: int) -> list[tuple[int, int]]:
+        return [edge for c in posets.bit_indices(mask) for edge in edges_of[c]]
+
+    n = diagram.n
+    for r, (a, b) in zip(reaches, generators):
+        parent = _forest(n, edges_in(r & ~own[r]))
+        if _find(parent, a) == _find(parent, b):
+            raise ValidatorFailed(
+                f"the congruence of edge {(a, b)} is the join of the members below it"
+            )
+    # every class is reached by its own member, so the members join to
+    # the components of all the classified edges
+    parent = _forest(n, classes)
+    if any(_find(parent, x) != _find(parent, 0) for x in range(n)):
+        raise ValidatorFailed("the join-irreducible congruences do not join to the top")
+
+    def members() -> list[Partition]:
+        parts = []
+        for r in reaches:
+            forest = _forest(n, edges_in(r))
+            parts.append(Partition.normalize([_find(forest, x) for x in range(n)]))
+        return parts
+
+    return JiPoset(members, up, generators)
 
 
 def congruence_lattice(diagram: PlanarDiagram) -> CongruenceLattice:
@@ -401,9 +582,29 @@ def congruence_lattice(diagram: PlanarDiagram) -> CongruenceLattice:
 
 
 def ji_poset_of(con: CongruenceLattice) -> JiPoset:
-    """Members with exactly one lower cover, in their refinement order."""
+    """Members with exactly one lower cover, in their refinement order.
+
+    A member's generator is the first pair it collapses that its lower
+    cover does not: the principal congruence of that pair lies below the
+    member and not below its lower cover, so it is the member.
+    """
     ji, up = posets.join_irreducible_order(con.up)
-    return JiPoset(tuple(con.members[i] for i in ji), tuple(up))
+    covs = con.cover_lists()
+    generators = []
+    for i in ji:
+        (below,) = [j for j, ups in enumerate(covs) if i in ups]
+        generators.append(_separating_pair(con.members[i], con.members[below]))
+    return JiPoset([con.members[i] for i in ji], up, generators)
+
+
+def _separating_pair(theta: Partition, finer: Partition) -> tuple[int, int]:
+    """A pair that theta collapses and the strictly finer partition does not."""
+    first: dict[int, int] = {}
+    for y, block in enumerate(theta.block_of):
+        x = first.setdefault(block, y)
+        if not finer.same(x, y):
+            return x, y
+    raise ValueError("the partition does not strictly refine theta")
 
 
 def dual_atom_count(ji_up: Sequence[int]) -> int:

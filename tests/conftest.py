@@ -18,6 +18,13 @@ def campaign():
     return family, report, elapsed
 
 
+@pytest.fixture(scope="session")
+def campaign_oracle_ji(campaign):
+    """Each acceptance class with its J(Con L) from the all-cover-pairs oracle."""
+    family, _, _ = campaign
+    return [(entry, helpers.all_cover_pairs_ji(entry.diagram)) for entry in family.members()]
+
+
 @pytest.fixture
 def c2():
     return helpers.chain(2)

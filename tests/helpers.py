@@ -147,17 +147,18 @@ def all_cover_pairs_ji(diagram: PlanarDiagram) -> JiPoset:
     """Oracle for ``ji_congruences``: one closure for every covering pair.
 
     The distinct principal congruences of all covering pairs, sorted
-    finest first and ordered by refinement.
+    finest first and ordered by refinement, each with the first covering
+    pair that generates it.
     """
-    members = sorted(
-        {principal_congruence(diagram, a, b) for a, b in diagram.cover_pairs()},
-        key=Partition.sort_key,
-    )
+    generator: dict[Partition, tuple[int, int]] = {}
+    for a, b in diagram.cover_pairs():
+        generator.setdefault(principal_congruence(diagram, a, b), (a, b))
+    members = sorted(generator, key=Partition.sort_key)
     up = [
         sum(1 << j for j, other in enumerate(members) if m.refines(other))
         for m in members
     ]
-    return JiPoset(tuple(members), tuple(up))
+    return JiPoset(members, up, [generator[m] for m in members])
 
 
 def con_diagrams(family: FamilyIndex) -> list[tuple[ForkScript, PlanarDiagram]]:

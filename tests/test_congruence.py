@@ -33,6 +33,7 @@ from slimfork import (
     prime_ideal_congruence,
     principal_congruence,
     principal_ideal,
+    swing_ji_congruences,
 )
 from slimfork import congruence
 from slimfork.errors import (
@@ -311,11 +312,9 @@ class TestJiPoset:
 
 
 class TestJiCongruences:
-    def test_equals_cover_pair_oracle_on_campaign(self, campaign):
-        family, _, _ = campaign
-        for entry in family.members():
-            d = entry.diagram
-            assert ji_congruences(d) == helpers.all_cover_pairs_ji(d), entry.script.to_obj()
+    def test_equals_cover_pair_oracle_on_campaign(self, campaign_oracle_ji):
+        for entry, oracle in campaign_oracle_ji:
+            assert ji_congruences(entry.diagram) == oracle, entry.script.to_obj()
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -344,6 +343,87 @@ class TestJiCongruences:
         monkeypatch.setattr(congruence, "principal_congruence", lambda d, a, b: fixed)
         with pytest.raises(ValidatorFailed):
             ji_congruences(g22)
+
+
+def assert_swing_engine_matches(diagram, expected) -> None:
+    """The swing engine on the diagram and on its mirror image equals ``expected``.
+
+    Also: the members are listed in a linear extension of the order, and
+    each generator's principal congruence is its member.
+    """
+    ji = swing_ji_congruences(diagram)
+    assert ji == expected
+    assert swing_ji_congruences(helpers.mirror(diagram)) == expected
+    assert all(u & ((1 << i) - 1) == 0 for i, u in enumerate(ji.up))
+    for (a, b), member in zip(ji.generators, ji.members):
+        assert principal_congruence(diagram, a, b) == member
+
+
+class TestSwingJiCongruences:
+    """The Swing Lemma engine against the closure engine and its oracles."""
+
+    def test_equals_closure_engine_and_oracle_on_campaign(self, campaign_oracle_ji):
+        for entry, oracle in campaign_oracle_ji:
+            d = entry.diagram
+            assert ji_congruences(d) == oracle, entry.script.to_obj()
+            assert_swing_engine_matches(d, oracle)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_closure_engine_on_fork_scripts(self, data):
+        p, q = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+        d = grid(GridSpec(p, q))
+        for _ in range(data.draw(st.integers(0, 4))):
+            d = insert_fork(d, data.draw(st.sampled_from(four_cells(d)))).diagram
+        expected = ji_congruences(d)
+        assert helpers.all_cover_pairs_ji(d) == expected
+        assert_swing_engine_matches(d, expected)
+
+    def test_s7_order_needs_swings(self, s7, monkeypatch):
+        # the fork top covers three elements; only the swings from the
+        # outer edges to the middle one put the middle trajectory below
+        # the other two
+        with_swings = swing_ji_congruences(s7)
+        assert with_swings == ji_poset_of(all_congruences_oracle(s7))
+        assert with_swings.up[0] == 0b111
+        monkeypatch.setattr(
+            congruence, "_swing_arcs", lambda d, classes: [0] * (max(classes.values()) + 1)
+        )
+        classes_only = swing_ji_congruences(s7)
+        assert classes_only.up == (0b001, 0b010, 0b100)
+        assert classes_only != with_swings
+
+    def test_partitions_built_on_read(self, s7, monkeypatch):
+        ji = swing_ji_congruences(s7)
+        built = []
+        real = congruence._forest
+        monkeypatch.setattr(
+            congruence, "_forest", lambda n, edges: built.append(n) or real(n, edges)
+        )
+        assert len(ji) == 3 and dual_atom_count(ji.up) == 2
+        assert not ji.is_dual_atom(Partition.singletons(s7.n))
+        assert built == []
+        members = ji.members
+        assert len(built) == 3 and len(members) == 3
+        assert ji.members is members and len(built) == 3
+
+    def test_self_check_rejects_identity_member(self, g22, monkeypatch):
+        # every class generated by a pair (a, a): its member is the identity,
+        # the join of no members
+        real = congruence._edge_classes
+        monkeypatch.setattr(
+            congruence, "_edge_classes", lambda d: {(a, a): c for (a, _), c in real(d).items()}
+        )
+        with pytest.raises(ValidatorFailed, match="join of the members below it"):
+            swing_ji_congruences(g22)
+
+    def test_self_check_rejects_members_below_top(self, g22, monkeypatch):
+        real = congruence._edge_classes
+        monkeypatch.setattr(
+            congruence, "_edge_classes", lambda d: {e: c for e, c in real(d).items() if c == 0}
+        )
+        with pytest.raises(ValidatorFailed, match="do not join to the top"):
+            swing_ji_congruences(g22)
 
 
 def two_chain(ji) -> bool:
@@ -381,8 +461,10 @@ class TestJiPredicates:
         oracle = all_congruences_oracle(diagram)
         coatoms = set(oracle.coatom_indices())
         ji = ji_congruences(diagram)
+        from_con = ji_poset_of(oracle)
         for i, part in enumerate(oracle.members):
             assert ji.is_dual_atom(part) == (i in coatoms), part.blocks()
+            assert from_con.is_dual_atom(part) == (i in coatoms), part.blocks()
 
 
 class TestDualAtoms:
