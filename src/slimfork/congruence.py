@@ -138,17 +138,31 @@ def _union(parent: list[int], size: list[int], a: int, b: int) -> bool:
     return True
 
 
-def _join_all(n: int, parts: Iterable[Partition]) -> Partition:
-    """Join of partitions of range(n); the identity for no partitions."""
+def _forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find parents of range(n) after merging each pair."""
     parent = list(range(n))
     size = [1] * n
-    for part in parts:
-        first: dict[int, int] = {}
-        for i, b in enumerate(part.block_of):
-            j = first.setdefault(b, i)
-            if j != i:
-                _union(parent, size, i, j)
+    for a, b in pairs:
+        _union(parent, size, a, b)
+    return parent
+
+
+def _merge_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Partition:
+    """The finest partition of range(n) that puts each pair in one block."""
+    parent = _forest(n, pairs)
     return Partition.normalize([_find(parent, i) for i in range(n)])
+
+
+def _block_pairs(part: Partition) -> Iterable[tuple[int, int]]:
+    """Each element paired with the first element of its block."""
+    first: dict[int, int] = {}
+    for i, b in enumerate(part.block_of):
+        yield i, first.setdefault(b, i)
+
+
+def _join_all(n: int, parts: Iterable[Partition]) -> Partition:
+    """Join of partitions of range(n); the identity for no partitions."""
+    return _merge_pairs(n, (pair for part in parts for pair in _block_pairs(part)))
 
 
 def is_congruence(diagram: PlanarDiagram, part: Partition) -> bool:
@@ -239,8 +253,8 @@ class JiPoset:
 
     ``members`` may be given as a function of no arguments, which is
     called when the partitions are first read. Two posets are equal when
-    they have the same members in the same refinement order, whatever
-    order lists them.
+    they list the same members in the same order with the same masks;
+    generators are not compared.
     """
 
     __slots__ = ("up", "generators", "_members")
@@ -267,15 +281,7 @@ class JiPoset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, JiPoset):
             return NotImplemented
-        return len(self) == len(other) and self._labelled() == other._labelled()
-
-    def __repr__(self) -> str:
-        return f"JiPoset(members={[m.blocks() for m in self.members]}, up={self.up})"
-
-    def _labelled(self) -> dict[Partition, frozenset[Partition]]:
-        """Each member with the set of members it refines."""
-        ms = self.members
-        return {m: frozenset(ms[j] for j in posets.bit_indices(u)) for m, u in zip(ms, self.up)}
+        return self.up == other.up and self.members == other.members
 
     def cover_lists(self) -> list[list[int]]:
         return posets.cover_lists_from_up(self.up)
@@ -449,14 +455,6 @@ def _swing_arcs(diagram: PlanarDiagram, classes: dict[tuple[int, int], int]) -> 
     return arcs
 
 
-def _forest(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Union-find parents of range(n) after merging along the edges."""
-    parent = list(range(n))
-    for a, b in edges:
-        parent[_find(parent, a)] = _find(parent, b)
-    return parent
-
-
 def swing_ji_congruences(diagram: PlanarDiagram) -> JiPoset:
     """J(Con L) of a slim, planar, semimodular lattice, with no closure.
 
@@ -480,21 +478,26 @@ def swing_ji_congruences(diagram: PlanarDiagram) -> JiPoset:
     chain of covering squares, so perspective edges lie in one class of
     :func:`_edge_classes`, and con(p) collapses q exactly when q's class
     is reachable from p's by swing arcs (:func:`_swing_arcs`). The
-    reachability is closed over at
-    most height(L) classes with bitmasks. Classes that reach each other
-    generate the same congruence, so each set of them is one member, and
-    member i refines member j exactly when j reaches i. The blocks of a
-    member are the connected components of the edges in the classes it
-    reaches; they are built only when ``members`` is read.
+    reachability is closed over at most height(L) classes with bitmasks.
+    Classes that reach each other generate the same congruence, so each
+    set of them is one member, and member i refines member j exactly
+    when j reaches i. The blocks of a member are the connected
+    components of the edges in the classes it reaches; they are built
+    only when ``members`` is read. Members are listed by the number of
+    classes they reach, then by their lowest class: finest first, but
+    not always in the order of :func:`ji_congruences`.
 
     ``diagram`` must be SPS with ``lower`` in plane order, as every
     family member is; on other inputs the result is wrong.
     :func:`ji_congruences` is the engine for any lattice.
 
-    Self-check, as in :func:`ji_congruences`: raises ValidatorFailed
-    when a member is the join of the members strictly below it (its
-    generating edge lies in one component of the edges of the classes it
-    strictly reaches), or when the members do not join to the top.
+    Self-check: raises ValidatorFailed on either failure that
+    :func:`ji_congruences` checks, both read here from the reach masks
+    with no closure: a member is the join of the members strictly below
+    it (its generating edge lies in one component of the edges of the
+    classes it strictly reaches), or the maximal members do not join to
+    the top (the edges of the classes they reach leave the lattice in
+    more than one component).
     """
     classes = _edge_classes(diagram)
     arcs = _swing_arcs(diagram, classes)
@@ -525,18 +528,16 @@ def swing_ji_congruences(diagram: PlanarDiagram) -> JiPoset:
             raise ValidatorFailed(
                 f"the congruence of edge {(a, b)} is the join of the members below it"
             )
-    # every class is reached by its own member, so the members join to
-    # the components of all the classified edges
-    parent = _forest(n, classes)
+    # the join of all members is the join of the maximal ones
+    top_reach = 0
+    for i in posets.maximal_elements(up):
+        top_reach |= reaches[i]
+    parent = _forest(n, edges_in(top_reach))
     if any(_find(parent, x) != _find(parent, 0) for x in range(n)):
         raise ValidatorFailed("the join-irreducible congruences do not join to the top")
 
     def members() -> list[Partition]:
-        parts = []
-        for r in reaches:
-            forest = _forest(n, edges_in(r))
-            parts.append(Partition.normalize([_find(forest, x) for x in range(n)]))
-        return parts
+        return [_merge_pairs(n, edges_in(r)) for r in reaches]
 
     return JiPoset(members, up, generators)
 

@@ -161,6 +161,19 @@ def all_cover_pairs_ji(diagram: PlanarDiagram) -> JiPoset:
     return JiPoset(members, up, [generator[m] for m in members])
 
 
+def ji_order(ji: JiPoset) -> dict[Partition, frozenset[Partition]]:
+    """Each member of J with the members it refines, whatever order lists them.
+
+    Compares J orders from engines that list the members in different
+    linear extensions; ``JiPoset`` equality also compares the listing.
+    """
+    ms = ji.members
+    return {
+        m: frozenset(ms[j] for j in range(len(ms)) if (u >> j) & 1)
+        for m, u in zip(ms, ji.up)
+    }
+
+
 def con_diagrams(family: FamilyIndex) -> list[tuple[ForkScript, PlanarDiagram]]:
     """Each class's witness script with its full Con L as a diagram."""
     return [
