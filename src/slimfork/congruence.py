@@ -147,22 +147,17 @@ def _forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return parent
 
 
-def _merge_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Partition:
-    """The finest partition of range(n) that puts each pair in one block."""
-    parent = _forest(n, pairs)
-    return Partition.normalize([_find(parent, i) for i in range(n)])
-
-
-def _block_pairs(part: Partition) -> Iterable[tuple[int, int]]:
-    """Each element paired with the first element of its block."""
-    first: dict[int, int] = {}
-    for i, b in enumerate(part.block_of):
-        yield i, first.setdefault(b, i)
-
-
 def _join_all(n: int, parts: Iterable[Partition]) -> Partition:
     """Join of partitions of range(n); the identity for no partitions."""
-    return _merge_pairs(n, (pair for part in parts for pair in _block_pairs(part)))
+    parent = list(range(n))
+    size = [1] * n
+    for part in parts:
+        first: dict[int, int] = {}
+        for i, b in enumerate(part.block_of):
+            j = first.setdefault(b, i)
+            if j != i:
+                _union(parent, size, i, j)
+    return Partition.normalize([_find(parent, i) for i in range(n)])
 
 
 def is_congruence(diagram: PlanarDiagram, part: Partition) -> bool:
@@ -537,7 +532,8 @@ def swing_ji_congruences(diagram: PlanarDiagram) -> JiPoset:
         raise ValidatorFailed("the join-irreducible congruences do not join to the top")
 
     def members() -> list[Partition]:
-        return [_merge_pairs(n, edges_in(r)) for r in reaches]
+        forests = [_forest(n, edges_in(r)) for r in reaches]
+        return [Partition.normalize([_find(f, x) for x in range(n)]) for f in forests]
 
     return JiPoset(members, up, generators)
 

@@ -400,9 +400,9 @@ class TestSwingJiCongruences:
     def test_partitions_built_on_read(self, s7, monkeypatch):
         ji = swing_ji_congruences(s7)
         built = []
-        real = congruence._merge_pairs
+        real = congruence._forest
         monkeypatch.setattr(
-            congruence, "_merge_pairs", lambda n, edges: built.append(n) or real(n, edges)
+            congruence, "_forest", lambda n, edges: built.append(n) or real(n, edges)
         )
         assert len(ji) == 3 and dual_atom_count(ji.up) == 2
         assert not ji.is_dual_atom(Partition.singletons(s7.n))
