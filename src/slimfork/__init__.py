@@ -17,6 +17,7 @@ from .diagram import (
     is_isomorphic,
     is_semimodular,
     is_slim,
+    ji_width_at_most_two,
     planar_key,
 )
 from .construct import (
@@ -62,6 +63,7 @@ from .congruence import (
 )
 from .campaign import (
     ClaimReport,
+    ENUM_MAX_ELEMENTS,
     EnumSpec,
     FamilyEntry,
     FamilyIndex,

@@ -41,7 +41,7 @@ from .construct import (
     grid,
     rectangular_profile,
 )
-from .diagram import PlanarDiagram, four_cells, planar_key
+from .diagram import BYTE_ROW_LIMIT, PlanarDiagram, four_cells, planar_key
 from .errors import (
     BudgetExceeded,
     NotRectangular,
@@ -59,9 +59,18 @@ NOTE_SINGLE_DUAL_ATOM = "single dual atom"
 NOTE_P1_VIOLATION = "a join-irreducible element has more than two covers"
 
 
+# The largest diagram whose meet and join rows are bytes; the S and M
+# specs use 40 and 48.
+ENUM_MAX_ELEMENTS = BYTE_ROW_LIMIT - 1
+
+
 @dataclass(frozen=True)
 class EnumSpec:
-    """Bounds for the family enumeration."""
+    """Bounds for the family enumeration.
+
+    ``max_elements`` may not exceed ENUM_MAX_ELEMENTS (255), so that the
+    cost of a family is bounded before any grid is built.
+    """
 
     p_max: int
     q_max: int
@@ -74,8 +83,10 @@ class EnumSpec:
             raise ValidationError("grid bounds must both be at least 2")
         if self.max_forks < 0:
             raise ValidationError("max_forks must be nonnegative")
-        if self.max_elements < 0:
-            raise ValidationError("max_elements must be nonnegative")
+        if not 0 <= self.max_elements <= ENUM_MAX_ELEMENTS:
+            raise ValidationError(
+                f"max_elements must be between 0 and {ENUM_MAX_ELEMENTS}, got {self.max_elements}"
+            )
         if self.max_classes < 1:
             raise ValidationError("max_classes must be positive")
 

@@ -27,7 +27,7 @@ from .diagram import (
     four_cells,
     is_graded,
     is_semimodular,
-    is_slim,
+    ji_width_at_most_two,
 )
 from .errors import (
     LatticeError,
@@ -272,6 +272,12 @@ def build_fork(edit: ForkEdit) -> ForkResult:
 
     The result must be a lattice with the expected size and height,
     graded, semimodular and slim; otherwise ValidatorFailed is raised.
+    Both structural tests are local: semimodularity is Birkhoff's
+    covering condition (:func:`is_semimodular`), and slimness, tested
+    once semimodularity holds, is the width test on J(L)
+    (:func:`ji_width_at_most_two`). A failed width test is reported as
+    "result contains a diamond", its meaning on planar semimodular
+    lattices.
     """
     parent, cell = edit.parent, edit.cell
     labels = None
@@ -288,7 +294,7 @@ def build_fork(edit: ForkEdit) -> ForkResult:
         raise ValidatorFailed(f"fork at {cell}: result is not graded")
     if not is_semimodular(out):
         raise ValidatorFailed(f"fork at {cell}: result is not semimodular")
-    if not is_slim(out):
+    if not ji_width_at_most_two(out):
         raise ValidatorFailed(f"fork at {cell}: result contains a diamond")
     return ForkResult(out, edit.m, edit.left_leg, edit.right_leg)
 

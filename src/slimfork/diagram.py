@@ -11,8 +11,13 @@ are ranked by a leftmost-first traversal from the bottom and each
 element's lower covers are sorted by that rank. A slim semimodular
 lattice has one planar diagram up to reflection, so the upper lists fix
 the plane order of the lower lists, and this ranking reproduces it.
-Diagrams are capped at DIAGRAM_MAX_ELEMENTS elements, because the meet
-and join tables are quadratic in the size.
+
+The up masks come from one pass over the covers in reverse topological
+order, and the down masks from one pass over the lower covers in
+topological order. Meet and join rows are ``bytes`` when the diagram has
+fewer than 256 elements and tuples otherwise; indexing either gives an
+``int``. Diagrams are capped at DIAGRAM_MAX_ELEMENTS elements, because
+the meet and join tables are quadratic in the size.
 """
 
 from __future__ import annotations
@@ -31,16 +36,24 @@ from .errors import (
 )
 
 DIAGRAM_MAX_ELEMENTS = 2_048
+# Meet and join rows are bytes below this size: every id fits in a byte.
+BYTE_ROW_LIMIT = 256
 
 
 @dataclass(frozen=True)
 class OrderTables:
-    """Reachability masks, meet/join tables and heights for one diagram."""
+    """Reachability masks, meet/join tables and heights for one diagram.
+
+    Bit j of ``up[i]`` is set iff i <= j, and bit j of ``down[i]`` iff
+    j <= i. ``meet[x][y]`` and ``join[x][y]`` are element ids; each row
+    is ``bytes`` in a diagram of fewer than BYTE_ROW_LIMIT elements, and
+    a tuple of ints otherwise.
+    """
 
     up: tuple[int, ...]
     down: tuple[int, ...]
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
+    meet: tuple[bytes | tuple[int, ...], ...]
+    join: tuple[bytes | tuple[int, ...], ...]
     height: tuple[int, ...]
 
 
@@ -147,10 +160,13 @@ def build_diagram(
             if any(k != j and (up_mask[k] >> j) & 1 for k in row):
                 raise ValidationError(f"edge {i} -< {j} is implied by a longer chain")
 
+    preds = posets.predecessor_lists(ups)
     down_mask = [0] * n
-    for i in range(n):
-        for j in posets.bit_indices(up_mask[i]):
-            down_mask[j] |= 1 << i
+    for x in order:
+        mask = 1 << x
+        for i in preds[x]:
+            mask |= down_mask[i]
+        down_mask[x] = mask
 
     minimal = [i for i in range(n) if down_mask[i] == 1 << i]
     maximal = [i for i in range(n) if up_mask[i] == 1 << i]
@@ -163,7 +179,7 @@ def build_diagram(
     height = posets.heights(ups, order)
     left_rank = _left_preorder(ups, bottom)
 
-    lows = [sorted(pre, key=left_rank.__getitem__) for pre in posets.predecessor_lists(ups)]
+    lows = [sorted(pre, key=left_rank.__getitem__) for pre in preds]
 
     down_index = {down_mask[i]: i for i in range(n)}
     up_index = {up_mask[i]: i for i in range(n)}
@@ -181,11 +197,12 @@ def build_diagram(
                 raise NotALattice(f"elements {x} and {y} have no join")
             join[x][y] = join[y][x] = j
 
+    row_type = bytes if n < BYTE_ROW_LIMIT else tuple
     tables = OrderTables(
         up=tuple(up_mask),
         down=tuple(down_mask),
-        meet=tuple(tuple(r) for r in meet),
-        join=tuple(tuple(r) for r in join),
+        meet=tuple(map(row_type, meet)),
+        join=tuple(map(row_type, join)),
         height=tuple(height),
     )
     lab = None if labels is None else tuple(labels)
@@ -225,17 +242,22 @@ def is_graded(diagram: PlanarDiagram) -> bool:
 
 
 def is_semimodular(diagram: PlanarDiagram) -> bool:
-    """Whenever x meet y is covered by x, the join covers y."""
-    n = diagram.n
-    meet, join = diagram.tables.meet, diagram.tables.join
+    """Birkhoff's covering condition: if a and b cover x, then a v b covers both.
+
+    In a finite lattice this condition is equivalent to upper
+    semimodularity, x ^ y -< x implying y -< x v y (Stern, "Semimodular
+    Lattices", 1999), so checking it for every pair of upper covers
+    decides semimodularity in O(edges) table lookups.
+    """
+    join = diagram.tables.join
     cov = diagram.cover_mask
-    for x in range(n):
-        mx = meet[x]
-        jx = join[x]
-        for y in range(n):
-            m = mx[y]
-            if m != x and (cov[m] >> x) & 1 and not (cov[y] >> jx[y]) & 1:
-                return False
+    for ups in diagram.upper:
+        for k, a in enumerate(ups):
+            ja, ca = join[a], cov[a]
+            for b in ups[k + 1:]:
+                t = ja[b]
+                if not (ca >> t) & 1 or not (cov[b] >> t) & 1:
+                    return False
     return True
 
 
@@ -274,6 +296,32 @@ def find_n5(diagram: PlanarDiagram):
 def is_slim(diagram: PlanarDiagram) -> bool:
     """No diamond sublattice anywhere in the diagram."""
     return find_m3(diagram) is None
+
+
+def ji_width_at_most_two(diagram: PlanarDiagram) -> bool:
+    """No three elements with exactly one lower cover are pairwise incomparable.
+
+    Czédli and Schmidt ("Slim semimodular lattices. I. A visual
+    approach", Order 29, 2012) call a finite lattice L slim when J(L),
+    its set of join-irreducible elements, "contains no three-element
+    antichain"; slim lattices are planar, and a planar semimodular
+    lattice is slim in this sense exactly when it has no M3 sublattice.
+    So on a planar semimodular diagram this test agrees with
+    :func:`is_slim`, at the cost of |J(L)|^2 mask operations. Elsewhere
+    it may not: the Boolean lattice B3 has no M3 sublattice, but its
+    three atoms form a 3-antichain in J(B3). Use it only after
+    :func:`is_semimodular` has passed.
+    """
+    up, down = diagram.tables.up, diagram.tables.down
+    ji = [x for x, low in enumerate(diagram.lower) if len(low) == 1]
+    ji_mask = _mask(ji)
+    inc = {x: ji_mask & ~(up[x] | down[x]) for x in ji}
+    for x in ji:
+        ix = inc[x]
+        for y in posets.bit_indices(ix >> x << x):
+            if ix & inc[y]:
+                return False
+    return True
 
 
 def cell_defect(diagram: PlanarDiagram, o: int, a_l: int, a_r: int, t: int) -> Optional[str]:

@@ -139,6 +139,21 @@ def lattice_corpus() -> list[PlanarDiagram]:
     ]
 
 
+def all_pairs_semimodular(diagram: PlanarDiagram) -> bool:
+    """Oracle for ``is_semimodular``: whenever x meet y is covered by x, the join covers y."""
+    n = diagram.n
+    meet, join = diagram.tables.meet, diagram.tables.join
+    cov = diagram.cover_mask
+    for x in range(n):
+        mx = meet[x]
+        jx = join[x]
+        for y in range(n):
+            m = mx[y]
+            if m != x and (cov[m] >> x) & 1 and not (cov[y] >> jx[y]) & 1:
+                return False
+    return True
+
+
 def semimodular_corpus() -> list[PlanarDiagram]:
     return [d for d in lattice_corpus() if d.name != "n5"]
 

@@ -4,6 +4,7 @@ import pytest
 
 import helpers
 from slimfork import (
+    ENUM_MAX_ELEMENTS,
     EnumSpec,
     ForkScript,
     GridSpec,
@@ -17,6 +18,7 @@ from slimfork import (
     is_semimodular,
     is_slim,
     ji_poset_of,
+    ji_width_at_most_two,
     planar_key,
     prime_ideal_congruence,
     principal_congruence,
@@ -37,6 +39,13 @@ class TestEnumSpec:
             EnumSpec(2, 2, -1)
         with pytest.raises(ValidationError):
             EnumSpec(2, 2, 0, max_classes=0)
+
+    def test_max_elements_cap(self):
+        assert ENUM_MAX_ELEMENTS == 255
+        EnumSpec(2, 2, 0, max_elements=ENUM_MAX_ELEMENTS)
+        for bad in (-1, ENUM_MAX_ELEMENTS + 1, 2_048):
+            with pytest.raises(ValidationError, match="max_elements"):
+                EnumSpec(40, 40, 0, max_elements=bad)
 
 
 class TestEnumerateFamily:
@@ -81,6 +90,13 @@ class TestEnumerateFamily:
             assert is_slim(d) and is_semimodular(d) and is_graded(d)
             profile = rectangular_profile(d)
             assert profile == entry.profile
+
+    def test_local_tests_match_oracles_on_acceptance_family(self, campaign):
+        family, _, _ = campaign
+        for entry in family.members():
+            d = entry.diagram
+            assert is_semimodular(d) and helpers.all_pairs_semimodular(d)
+            assert ji_width_at_most_two(d) and is_slim(d)
 
     def test_scripts_replay_to_same_key(self):
         from slimfork import run_script

@@ -221,6 +221,20 @@ class TestEnumerateCommand:
         first = index["classes"][0]
         assert (workdir / "family" / first["file"]).exists()
 
+    def test_max_elements_cap_exits_two_before_any_work(self, workdir, capsys):
+        start = time.perf_counter()
+        status = main([
+            "enumerate", "--pmax", "40", "--qmax", "40", "--max-elements", "2048",
+            "--out", "family",
+        ])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "max_elements" in captured.err
+        assert not (workdir / "family").exists()
+        assert elapsed < 1.0
+
     def test_deterministic_index(self, workdir, capsys):
         for name in ("a", "b"):
             status, _ = run(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 from slimfork import (
+    ForkEdit,
     ForkScript,
     GridSpec,
     boundary_chains,
@@ -140,6 +141,21 @@ class TestInsertFork:
             check_fork_growth(edit, g33)
         with pytest.raises(ValidatorFailed, match="height"):
             check_fork_growth(edit, helpers.chain(len(edit.upper)))
+
+    @pytest.mark.parametrize(
+        "upper, message",
+        [
+            # the dual of S7: graded, one level above the 2x2 grid, not semimodular
+            ([[], [6], [5], [2, 4, 1], [5, 6], [0], [0]], "not semimodular"),
+            # M3 under a one-element tail: graded and semimodular, J(L) has width 3
+            ([[1, 2, 3], [4], [4], [4], [5], []], "contains a diamond"),
+        ],
+        ids=["dual-s7", "m3-tail"],
+    )
+    def test_build_fork_rejects_hand_built_edits(self, g22, upper, message):
+        edit = ForkEdit(g22, four_cells(g22)[0], upper, m=len(upper) - 1, left_leg=(), right_leg=())
+        with pytest.raises(ValidatorFailed, match=message):
+            build_fork(edit)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("q", [2, 3, 4])

@@ -22,9 +22,10 @@ from slimfork import (
     is_semimodular,
     is_slim,
     insert_fork,
+    ji_width_at_most_two,
     planar_key,
 )
-from slimfork.diagram import find_m3, find_n5
+from slimfork.diagram import BYTE_ROW_LIMIT, find_m3, find_n5
 from slimfork.errors import (
     CycleDetected,
     DuplicateCover,
@@ -122,6 +123,26 @@ class TestTables:
         for i, j in diagram.cover_pairs():
             assert diagram.height(j) >= diagram.height(i) + 1
 
+    @pytest.mark.parametrize("p, q, row_type", [(15, 17, bytes), (16, 16, tuple)])
+    def test_row_type_at_the_byte_boundary(self, p, q, row_type):
+        d = grid(GridSpec(p, q))
+        assert d.n == p * q and (d.n < BYTE_ROW_LIMIT) == (row_type is bytes)
+        assert {type(r) for r in d.tables.meet + d.tables.join} == {row_type}
+        up, down = d.tables.up, d.tables.down
+        down_index = {mask: x for x, mask in enumerate(down)}
+        up_index = {mask: x for x, mask in enumerate(up)}
+        for x in range(d.n):
+            mx, jx = d.tables.meet[x], d.tables.join[x]
+            for y in range(d.n):
+                assert mx[y] == down_index[down[x] & down[y]]
+                assert jx[y] == up_index[up[x] & up[y]]
+
+    @pytest.mark.parametrize("diagram", helpers.lattice_corpus(), ids=lambda d: d.name)
+    def test_down_is_transpose_of_up(self, diagram):
+        up, down = diagram.tables.up, diagram.tables.down
+        for x in range(diagram.n):
+            assert down[x] == sum(1 << y for y in range(diagram.n) if (up[y] >> x) & 1)
+
     def test_meet_join_against_definition(self, s7):
         # brute-force maxima of common lower bounds
         n = s7.n
@@ -145,6 +166,27 @@ class TestValidators:
         assert 3 in n5.upper[0]
         assert n5.join(3, 1) == 4
         assert 4 not in n5.upper[1]
+
+    @pytest.mark.parametrize("diagram", helpers.lattice_corpus(), ids=lambda d: d.name)
+    def test_birkhoff_matches_all_pairs_oracle(self, diagram):
+        for d in (diagram, helpers.mirror(diagram)):
+            assert is_semimodular(d) == helpers.all_pairs_semimodular(d)
+
+    def test_known_cases_of_the_local_tests(self, m3, n5):
+        b3 = helpers.boolean_cube()
+        assert is_semimodular(b3) and is_slim(b3)
+        assert not ji_width_at_most_two(b3)
+        assert not is_slim(m3) and not ji_width_at_most_two(m3)
+        for d in (n5, helpers.mirror(n5)):
+            assert not is_semimodular(d) and not helpers.all_pairs_semimodular(d)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_local_tests_match_oracles_on_fork_scripts(self, data):
+        d = _fork_script_diagram(data, max_forks=4)
+        for e in (d, helpers.mirror(d)):
+            assert is_semimodular(e) == helpers.all_pairs_semimodular(e)
+            assert ji_width_at_most_two(e) == is_slim(e)
 
     def test_slim(self, m3, s7):
         assert not is_slim(m3)
@@ -170,8 +212,6 @@ class TestValidators:
 
     @pytest.mark.parametrize("diagram", helpers.semimodular_corpus(), ids=lambda d: d.name)
     def test_slim_matches_two_chain_criterion(self, diagram):
-        if not is_semimodular(diagram):
-            return
         ji = [
             x for x in range(diagram.n)
             if x != diagram.bottom and len(diagram.lower[x]) == 1
@@ -182,7 +222,9 @@ class TestValidators:
             and not diagram.leq(y, z) and not diagram.leq(z, y)
             for x, y, z in itertools.combinations(ji, 3)
         )
-        assert is_slim(diagram) == (not has_three_antichain)
+        assert ji_width_at_most_two(diagram) == (not has_three_antichain)
+        if is_semimodular(diagram):
+            assert is_slim(diagram) == (not has_three_antichain)
 
 
 class TestFourCells:
@@ -287,10 +329,10 @@ def _key(diagram):
     return planar_key(diagram.upper, diagram.bottom)
 
 
-def _fork_script_diagram(data):
+def _fork_script_diagram(data, max_forks=3):
     p, q = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
     d = grid(GridSpec(p, q))
-    for _ in range(data.draw(st.integers(0, 3))):
+    for _ in range(data.draw(st.integers(0, max_forks))):
         d = insert_fork(d, data.draw(st.sampled_from(four_cells(d)))).diagram
     return d
 
