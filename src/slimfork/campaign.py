@@ -203,11 +203,10 @@ def enumerate_family(spec: EnumSpec, shuffle_seed: Optional[int] = None) -> Fami
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     entries: dict[bytes, FamilyEntry] = {}
     seeds = []
-    for p in range(2, spec.p_max + 1):
-        for q in range(2, spec.q_max + 1):
-            if p * q <= spec.max_elements:
-                g = grid(GridSpec(p, q))
-                seeds.append((planar_key(g.upper, g.bottom), ForkScript(GridSpec(p, q)), g))
+    for p in range(2, min(spec.p_max, spec.max_elements // 2) + 1):
+        for q in range(2, min(spec.q_max, spec.max_elements // p) + 1):
+            g = grid(GridSpec(p, q))
+            seeds.append((planar_key(g.upper, g.bottom), ForkScript(GridSpec(p, q)), g))
     candidates = len(seeds)
     frontier = _merge(entries, seeds, spec, 0)
     for forks in range(1, spec.max_forks + 1):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import helpers
@@ -78,6 +80,14 @@ class TestEnumerateFamily:
     def test_empty_when_no_grid_fits(self):
         family = enumerate_family(EnumSpec(2, 2, 1, max_elements=3))
         assert len(family) == 0
+
+    def test_grid_bounds_far_above_the_size_cap_cost_nothing(self):
+        start = time.perf_counter()
+        family = enumerate_family(EnumSpec(10**9, 10**9, 0, max_elements=6))
+        assert time.perf_counter() - start < 1.0
+        # the 2x2, 2x3 and 3x2 grids; the last two are one class
+        assert family.candidates == 3
+        assert sorted(e.diagram.n for e in family.members()) == [4, 6]
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
