@@ -161,12 +161,8 @@ def build_diagram(
                 raise ValidationError(f"edge {i} -< {j} is implied by a longer chain")
 
     preds = posets.predecessor_lists(ups)
-    down_mask = [0] * n
-    for x in order:
-        mask = 1 << x
-        for i in preds[x]:
-            mask |= down_mask[i]
-        down_mask[x] = mask
+    # reachability along the lower covers, bottom first
+    down_mask = posets.up_masks(preds, order[::-1])
 
     minimal = [i for i in range(n) if down_mask[i] == 1 << i]
     maximal = [i for i in range(n) if up_mask[i] == 1 << i]
