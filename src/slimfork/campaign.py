@@ -41,7 +41,7 @@ from .construct import (
     grid,
     rectangular_profile,
 )
-from .diagram import BYTE_ROW_LIMIT, PlanarDiagram, four_cells, planar_key
+from .diagram import PlanarDiagram, four_cells, planar_key
 from .errors import (
     BudgetExceeded,
     NotRectangular,
@@ -59,9 +59,10 @@ NOTE_SINGLE_DUAL_ATOM = "single dual atom"
 NOTE_P1_VIOLATION = "a join-irreducible element has more than two covers"
 
 
-# The largest diagram whose meet and join rows are bytes; the S and M
-# specs use 40 and 48.
-ENUM_MAX_ELEMENTS = BYTE_ROW_LIMIT - 1
+# Bounds a family's cost before any grid is built: the number of grids
+# and of their forks grows with the size allowed. The S and M specs use
+# 40 and 48.
+ENUM_MAX_ELEMENTS = 255
 
 
 @dataclass(frozen=True)

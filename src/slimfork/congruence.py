@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import posets
-from .diagram import PlanarDiagram, canonical_key, find_m3, find_n5
+from .diagram import PlanarDiagram, canonical_key, find_m3, find_n5, irreducibles
 from .errors import (
     NotAnIdeal,
     NotDistributive,
@@ -163,20 +163,27 @@ def _join_all(n: int, parts: Iterable[Partition]) -> Partition:
 def is_congruence(diagram: PlanarDiagram, part: Partition) -> bool:
     """Compatibility of the relation with meet and join.
 
-    Each element is compared against its block representative; by
-    transitivity that covers every related pair.
+    Each element is compared against the first of its block; by
+    transitivity that covers every related pair. Only x v j for j in
+    J(L) and x ^ m for m in M(L) are compared. That is enough: in a
+    finite lattice every element is the join of the join-irreducible
+    elements below it and the meet of the meet-irreducible elements
+    above it (Grätzer, "Lattice Theory: Foundation", 2011), so an
+    equivalence compatible with every x v j and x ^ m is compatible with
+    every join and meet.
     """
-    join_t, meet_t = diagram.tables.join, diagram.tables.meet
+    t = diagram.tables
+    up, down, up_index, down_index = t.up, t.down, t.up_index, t.down_index
+    ji, mi = irreducibles(diagram)
+    ji_up = [up[j] for j in ji]
+    mi_down = [down[m] for m in mi]
     bo = part.block_of
-    first: dict[int, int] = {}
+    rows: dict[int, list[int]] = {}
     for x in range(diagram.n):
-        r = first.setdefault(bo[x], x)
-        if r == x:
-            continue
-        jx, jr, mx, mr = join_t[x], join_t[r], meet_t[x], meet_t[r]
-        for z in range(diagram.n):
-            if bo[jx[z]] != bo[jr[z]] or bo[mx[z]] != bo[mr[z]]:
-                return False
+        ux, dx = up[x], down[x]
+        row = [bo[up_index[ux & u]] for u in ji_up] + [bo[down_index[dx & d]] for d in mi_down]
+        if rows.setdefault(bo[x], row) != row:
+            return False
     return True
 
 
@@ -184,11 +191,18 @@ def principal_congruence(diagram: PlanarDiagram, a: int, b: int) -> Partition:
     """Smallest congruence collapsing a with b.
 
     Fixpoint closure: every merged pair (x, y) forces the merges of
-    (x v z, y v z) and (x ^ z, y ^ z) for all z, with blocks held in a
-    union-by-size forest.
+    (x v j, y v j) for j in J(L) and (x ^ m, y ^ m) for m in M(L), with
+    blocks held in a union-by-size forest. Every element is a join of
+    join-irreducibles and a meet of meet-irreducibles (Grätzer, "Lattice
+    Theory: Foundation", 2011), so the result is compatible with every
+    join and meet; each merge costs |J(L)| + |M(L)| mask lookups.
     """
     n = diagram.n
-    join_t, meet_t = diagram.tables.join, diagram.tables.meet
+    t = diagram.tables
+    up, down, up_index, down_index = t.up, t.down, t.up_index, t.down_index
+    ji, mi = irreducibles(diagram)
+    ji_up = [up[j] for j in ji]
+    mi_down = [down[m] for m in mi]
     parent = list(range(n))
     size = [1] * n
     pending: deque[tuple[int, int]] = deque([(a, b)])
@@ -196,12 +210,14 @@ def principal_congruence(diagram: PlanarDiagram, a: int, b: int) -> Partition:
         x, y = pending.popleft()
         if not _union(parent, size, x, y):
             continue
-        jx, jy, mx, my = join_t[x], join_t[y], meet_t[x], meet_t[y]
-        for z in range(n):
-            jz, jw = jx[z], jy[z]
+        ux, uy = up[x], up[y]
+        for u in ji_up:
+            jz, jw = up_index[ux & u], up_index[uy & u]
             if _find(parent, jz) != _find(parent, jw):
                 pending.append((jz, jw))
-            mz, mw = mx[z], my[z]
+        dx, dy = down[x], down[y]
+        for d in mi_down:
+            mz, mw = down_index[dx & d], down_index[dy & d]
             if _find(parent, mz) != _find(parent, mw):
                 pending.append((mz, mw))
     return Partition.normalize([_find(parent, i) for i in range(n)])
@@ -373,11 +389,10 @@ def _edge_classes(diagram: PlanarDiagram) -> dict[tuple[int, int], int]:
     parent = list(range(len(edges)))
     size = [1] * len(edges)
     cov = diagram.cover_mask
-    join_t = diagram.tables.join
     for o, ups in enumerate(diagram.upper):
         for k, a in enumerate(ups):
             for b in ups[k + 1:]:
-                t = join_t[a][b]
+                t = diagram.join(a, b)
                 if (cov[a] >> t) & 1 and (cov[b] >> t) & 1:
                     _union(parent, size, edge_id[o, a], edge_id[b, t])
                     _union(parent, size, edge_id[o, b], edge_id[a, t])
@@ -653,38 +668,39 @@ def principal_ideal(diagram: PlanarDiagram, x: int) -> PrincipalIdeal:
     return PrincipalIdeal(x, tuple(posets.bit_indices(diagram.tables.down[x])))
 
 
-def _ideal_members(diagram: PlanarDiagram, ideal) -> frozenset[int]:
+def _ideal_mask(diagram: PlanarDiagram, ideal) -> int:
+    """The mask of a down- and join-closed subset; raises NotAnIdeal otherwise.
+
+    A nonempty finite down-set is join-closed exactly when it is a
+    principal ideal, so the join test is one lookup among the down
+    masks. Otherwise it has two maximal members, whose join lies outside.
+    """
     members = frozenset(ideal.members if isinstance(ideal, PrincipalIdeal) else ideal)
-    down = diagram.tables.down
+    t = diagram.tables
+    mask = sum(1 << x for x in members)
     for x in members:
-        if any(y not in members for y in posets.bit_indices(down[x])):
+        if t.down[x] & ~mask:
             raise NotAnIdeal(f"subset is not down-closed below element {x}")
-    join_t = diagram.tables.join
-    for x in members:
-        for y in members:
-            if join_t[x][y] not in members:
-                raise NotAnIdeal(f"subset is not join-closed at {x} v {y}")
-    return members
+    if mask and mask not in t.down_index:
+        x, y = [x for x in sorted(members) if t.up[x] & mask == 1 << x][:2]
+        raise NotAnIdeal(f"subset is not join-closed at {x} v {y}")
+    return mask
 
 
 def is_prime_ideal(diagram: PlanarDiagram, ideal) -> bool:
     """Whether a (validated) ideal is proper, nonempty and prime.
 
     Prime: a meet can only land in the ideal when one of its arguments
-    is already there; equivalently the complement is meet-closed.
+    is already there; equivalently the complement, an up-set, is
+    meet-closed. A nonempty finite up-set is meet-closed exactly when it
+    is a principal filter, so this is one lookup among the up masks.
     Raises NotAnIdeal when the input is not down- and join-closed.
     """
-    members = _ideal_members(diagram, ideal)
-    if not members or len(members) == diagram.n:
+    mask = _ideal_mask(diagram, ideal)
+    full = (1 << diagram.n) - 1
+    if mask in (0, full):
         return False
-    outside = [x for x in range(diagram.n) if x not in members]
-    meet_t = diagram.tables.meet
-    for x in outside:
-        mx = meet_t[x]
-        for y in outside:
-            if mx[y] in members:
-                return False
-    return True
+    return full & ~mask in diagram.tables.up_index
 
 
 def prime_ideal_congruence(diagram: PlanarDiagram, ideal) -> Partition:

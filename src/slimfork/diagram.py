@@ -2,9 +2,9 @@
 
 A diagram stores, for every element, the list of its upper covers and
 the list of its lower covers, both ordered left to right as in a plane
-drawing. Reachability, meet, join and height tables are computed once
-at construction; all structure is read-only afterwards, so diagrams
-can be shared freely between concurrent computations.
+drawing. Reachability masks and heights are computed once at
+construction; all structure is read-only afterwards, so diagrams can be
+shared freely between concurrent computations.
 
 Only the upper lists are given; lower lists are always derived. Elements
 are ranked by a leftmost-first traversal from the bottom and each
@@ -14,10 +14,11 @@ the plane order of the lower lists, and this ranking reproduces it.
 
 The up masks come from one pass over the covers in reverse topological
 order, and the down masks from one pass over the lower covers in
-topological order. Meet and join rows are ``bytes`` when the diagram has
-fewer than 256 elements and tuples otherwise; indexing either gives an
-``int``. Diagrams are capped at DIAGRAM_MAX_ELEMENTS elements, because
-the meet and join tables are quadratic in the size.
+topological order. The masks are the only tables of the order: the meet
+of x and y is the element whose down mask is down[x] & down[y], and the
+join the element whose up mask is up[x] & up[y], each found by one dict
+lookup. Diagrams are capped at DIAGRAM_MAX_ELEMENTS elements, because
+the lattice check at construction tests every pair of elements.
 """
 
 from __future__ import annotations
@@ -35,25 +36,25 @@ from .errors import (
     ValidationError,
 )
 
+# The lattice check at construction is quadratic in the size.
 DIAGRAM_MAX_ELEMENTS = 2_048
-# Meet and join rows are bytes below this size: every id fits in a byte.
-BYTE_ROW_LIMIT = 256
 
 
 @dataclass(frozen=True)
 class OrderTables:
-    """Reachability masks, meet/join tables and heights for one diagram.
+    """Reachability masks, their inverse indexes and heights for one diagram.
 
     Bit j of ``up[i]`` is set iff i <= j, and bit j of ``down[i]`` iff
-    j <= i. ``meet[x][y]`` and ``join[x][y]`` are element ids; each row
-    is ``bytes`` in a diagram of fewer than BYTE_ROW_LIMIT elements, and
-    a tuple of ints otherwise.
+    j <= i. ``up_index`` and ``down_index`` map each mask back to its
+    element. The masks are the only tables of the order: the meet of x
+    and y is ``down_index[down[x] & down[y]]`` and their join is
+    ``up_index[up[x] & up[y]]``.
     """
 
     up: tuple[int, ...]
     down: tuple[int, ...]
-    meet: tuple[bytes | tuple[int, ...], ...]
-    join: tuple[bytes | tuple[int, ...], ...]
+    up_index: dict[int, int]
+    down_index: dict[int, int]
     height: tuple[int, ...]
 
 
@@ -96,10 +97,12 @@ class PlanarDiagram:
         return (self.tables.up[x] >> y) & 1 == 1
 
     def meet(self, x: int, y: int) -> int:
-        return self.tables.meet[x][y]
+        t = self.tables
+        return t.down_index[t.down[x] & t.down[y]]
 
     def join(self, x: int, y: int) -> int:
-        return self.tables.join[x][y]
+        t = self.tables
+        return t.up_index[t.up[x] & t.up[y]]
 
     def height(self, x: int) -> int:
         return self.tables.height[x]
@@ -179,26 +182,19 @@ def build_diagram(
 
     down_index = {down_mask[i]: i for i in range(n)}
     up_index = {up_mask[i]: i for i in range(n)}
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
     for x in range(n):
         dx, ux = down_mask[x], up_mask[x]
         for y in range(x, n):
-            m = down_index.get(dx & down_mask[y])
-            if m is None:
+            if dx & down_mask[y] not in down_index:
                 raise NotALattice(f"elements {x} and {y} have no meet")
-            meet[x][y] = meet[y][x] = m
-            j = up_index.get(ux & up_mask[y])
-            if j is None:
+            if ux & up_mask[y] not in up_index:
                 raise NotALattice(f"elements {x} and {y} have no join")
-            join[x][y] = join[y][x] = j
 
-    row_type = bytes if n < BYTE_ROW_LIMIT else tuple
     tables = OrderTables(
         up=tuple(up_mask),
         down=tuple(down_mask),
-        meet=tuple(map(row_type, meet)),
-        join=tuple(map(row_type, join)),
+        up_index=up_index,
+        down_index=down_index,
         height=tuple(height),
     )
     lab = None if labels is None else tuple(labels)
@@ -243,15 +239,15 @@ def is_semimodular(diagram: PlanarDiagram) -> bool:
     In a finite lattice this condition is equivalent to upper
     semimodularity, x ^ y -< x implying y -< x v y (Stern, "Semimodular
     Lattices", 1999), so checking it for every pair of upper covers
-    decides semimodularity in O(edges) table lookups.
+    decides semimodularity in O(edges) mask lookups.
     """
-    join = diagram.tables.join
+    up, up_index = diagram.tables.up, diagram.tables.up_index
     cov = diagram.cover_mask
     for ups in diagram.upper:
         for k, a in enumerate(ups):
-            ja, ca = join[a], cov[a]
+            ua, ca = up[a], cov[a]
             for b in ups[k + 1:]:
-                t = ja[b]
+                t = up_index[ua & up[b]]
                 if not (ca >> t) & 1 or not (cov[b] >> t) & 1:
                     return False
     return True
@@ -261,15 +257,15 @@ def find_m3(diagram: PlanarDiagram):
     """A diamond sublattice (o, x, y, z, t) if one exists, else None."""
     n = diagram.n
     up, down = diagram.tables.up, diagram.tables.down
-    meet, join = diagram.tables.meet, diagram.tables.join
+    meet, join = diagram.meet, diagram.join
     full = (1 << n) - 1
     inc = [full & ~(up[i] | down[i]) for i in range(n)]
     for x in range(n):
         for y in posets.bit_indices(inc[x] >> (x + 1) << (x + 1)):
-            m, j = meet[x][y], join[x][y]
+            m, j = meet(x, y), join(x, y)
             both = inc[x] & inc[y]
             for z in posets.bit_indices(both >> (y + 1) << (y + 1)):
-                if meet[x][z] == m and meet[y][z] == m and join[x][z] == j and join[y][z] == j:
+                if meet(x, z) == m and meet(y, z) == m and join(x, z) == j and join(y, z) == j:
                     return m, x, y, z, j
     return None
 
@@ -278,20 +274,26 @@ def find_n5(diagram: PlanarDiagram):
     """A pentagon sublattice (o, z, x, y, t) with z < x if one exists."""
     n = diagram.n
     up, down = diagram.tables.up, diagram.tables.down
-    meet, join = diagram.tables.meet, diagram.tables.join
+    meet, join = diagram.meet, diagram.join
     full = (1 << n) - 1
     inc = [full & ~(up[i] | down[i]) for i in range(n)]
     for z in range(n):
         for x in posets.bit_indices(up[z] & ~(1 << z)):
             for y in posets.bit_indices(inc[z] & inc[x]):
-                if meet[x][y] == meet[z][y] and join[x][y] == join[z][y]:
-                    return meet[x][y], z, x, y, join[x][y]
+                if meet(x, y) == meet(z, y) and join(x, y) == join(z, y):
+                    return meet(x, y), z, x, y, join(x, y)
     return None
 
 
 def is_slim(diagram: PlanarDiagram) -> bool:
     """No diamond sublattice anywhere in the diagram."""
     return find_m3(diagram) is None
+
+
+def irreducibles(diagram: PlanarDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """J(L) and M(L): the elements with exactly one lower, and one upper, cover."""
+    ji = tuple(x for x, low in enumerate(diagram.lower) if len(low) == 1)
+    return ji, tuple(x for x, ups in enumerate(diagram.upper) if len(ups) == 1)
 
 
 def ji_width_at_most_two(diagram: PlanarDiagram) -> bool:
@@ -309,7 +311,7 @@ def ji_width_at_most_two(diagram: PlanarDiagram) -> bool:
     :func:`is_semimodular` has passed.
     """
     up, down = diagram.tables.up, diagram.tables.down
-    ji = [x for x, low in enumerate(diagram.lower) if len(low) == 1]
+    ji, _ = irreducibles(diagram)
     ji_mask = _mask(ji)
     inc = {x: ji_mask & ~(up[x] | down[x]) for x in ji}
     for x in ji:

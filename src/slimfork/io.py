@@ -67,6 +67,7 @@ def obj_to_diagram(obj) -> PlanarDiagram:
 
     dense = {orig: i for i, orig in enumerate(sorted(ids))}
     upper: list[list[int]] = [[] for _ in ids]
+    key_of: dict[int, str] = {}
     for raw_key, row in covers.items():
         try:
             orig = int(raw_key)
@@ -74,6 +75,9 @@ def obj_to_diagram(obj) -> PlanarDiagram:
             raise ParseError(f"upper_covers key {raw_key!r} is not an integer id") from None
         if orig not in dense:
             raise ParseError(f"upper_covers mentions unknown element {orig}")
+        first = key_of.setdefault(orig, raw_key)
+        if first != raw_key:
+            raise ParseError(f"upper_covers keys {first!r} and {raw_key!r} both name element {orig}")
         if not isinstance(row, list) or not all(_is_int(j) for j in row):
             raise ParseError(f"upper covers of {orig} must be a list of integer ids")
         for j in row:

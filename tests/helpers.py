@@ -142,16 +142,78 @@ def lattice_corpus() -> list[PlanarDiagram]:
 def all_pairs_semimodular(diagram: PlanarDiagram) -> bool:
     """Oracle for ``is_semimodular``: whenever x meet y is covered by x, the join covers y."""
     n = diagram.n
-    meet, join = diagram.tables.meet, diagram.tables.join
+    meet, join = diagram.meet, diagram.join
     cov = diagram.cover_mask
     for x in range(n):
-        mx = meet[x]
-        jx = join[x]
         for y in range(n):
-            m = mx[y]
-            if m != x and (cov[m] >> x) & 1 and not (cov[y] >> jx[y]) & 1:
+            m = meet(x, y)
+            if m != x and (cov[m] >> x) & 1 and not (cov[y] >> join(x, y)) & 1:
                 return False
     return True
+
+
+def congruence_by_definition(diagram: PlanarDiagram, part: Partition) -> bool:
+    """Oracle for ``is_congruence``: every related pair, joined and met with every element."""
+    n = diagram.n
+    meet, join = diagram.meet, diagram.join
+    for x in range(n):
+        for y in range(n):
+            if part.same(x, y):
+                for z in range(n):
+                    if not part.same(join(x, z), join(y, z)):
+                        return False
+                    if not part.same(meet(x, z), meet(y, z)):
+                        return False
+    return True
+
+
+def principal_congruence_by_definition(diagram: PlanarDiagram, a: int, b: int) -> Partition:
+    """Oracle for ``principal_congruence``: the closure over every element.
+
+    Starting from a and b in one block, sweep every related pair (x, y)
+    and every z, merging the blocks of x v z and y v z and of x ^ z and
+    y ^ z, until a sweep merges nothing.
+    """
+    n = diagram.n
+    meet, join = diagram.meet, diagram.join
+    label = list(range(n))
+
+    def merge(u: int, v: int) -> bool:
+        lu, lv = label[u], label[v]
+        if lu == lv:
+            return False
+        for i in range(n):
+            if label[i] == lv:
+                label[i] = lu
+        return True
+
+    changed = merge(a, b)
+    while changed:
+        changed = False
+        for x in range(n):
+            for y in range(x + 1, n):
+                if label[x] == label[y]:
+                    for z in range(n):
+                        changed |= merge(join(x, z), join(y, z))
+                        changed |= merge(meet(x, z), meet(y, z))
+    return Partition.normalize(label)
+
+
+def ideal_by_definition(diagram: PlanarDiagram, members: frozenset[int]) -> bool:
+    """Oracle for the ideal test: down-closed, and closed under every join."""
+    n = diagram.n
+    if any(diagram.leq(y, x) and y not in members for x in members for y in range(n)):
+        return False
+    return all(diagram.join(x, y) in members for x in members for y in members)
+
+
+def prime_ideal_by_definition(diagram: PlanarDiagram, members: frozenset[int]) -> bool:
+    """Oracle for ``is_prime_ideal`` on an ideal: proper, nonempty, and no
+    meet of two outside elements inside."""
+    outside = [x for x in range(diagram.n) if x not in members]
+    if not members or not outside:
+        return False
+    return all(diagram.meet(x, y) not in members for x in outside for y in outside)
 
 
 def semimodular_corpus() -> list[PlanarDiagram]:

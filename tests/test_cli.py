@@ -135,6 +135,18 @@ class TestCheckCommand:
         assert status == 1
         assert payload["rect"] is False and "rect_reason" in payload
 
+    def test_two_keys_naming_one_element_exit_two(self, workdir, capsys):
+        doc = {
+            "elements": [{"id": 0}, {"id": 1}, {"id": 2}],
+            "upper_covers": {"0": [1], "1": [], "01": [2], "2": []},
+        }
+        (workdir / "dup.json").write_text(json.dumps(doc))
+        status = main(["check", "dup.json"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "both name element 1" in captured.err
+
     def test_unknown_prop(self, s7_path, capsys):
         status, _ = run(capsys, "check", str(s7_path), "--props", "bogus")
         assert status == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,13 @@ class TestPrincipalCongruence:
                 assert principal_congruence(diagram, a, b) == minimal
 
     @pytest.mark.parametrize("diagram", helpers.lattice_corpus(), ids=lambda d: d.name)
+    def test_equals_closure_over_every_element(self, diagram):
+        for d in (diagram, helpers.mirror(diagram)):
+            for a, b in d.cover_pairs():
+                expected = helpers.principal_congruence_by_definition(d, a, b)
+                assert principal_congruence(d, a, b) == expected, (a, b)
+
+    @pytest.mark.parametrize("diagram", helpers.lattice_corpus(), ids=lambda d: d.name)
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_interval_monotonicity(self, diagram, data):
@@ -173,6 +181,12 @@ class TestOracle:
 
     def test_m3_is_simple(self, m3):
         assert len(all_congruences_oracle(m3)) == 2
+
+    @pytest.mark.parametrize("diagram", helpers.oracle_corpus(), ids=lambda d: d.name)
+    def test_is_congruence_equals_definition(self, diagram):
+        for rgs in congruence._restricted_growth_strings(diagram.n):
+            part = Partition(rgs)
+            assert is_congruence(diagram, part) == helpers.congruence_by_definition(diagram, part)
 
     def test_every_member_is_congruence(self, s7):
         for part in all_congruences_oracle(s7).members:
@@ -553,6 +567,24 @@ class TestIdeals:
             is_prime_ideal(s7, [2])  # not down-closed
         with pytest.raises(NotAnIdeal):
             is_prime_ideal(g22, [0, 1, 2])  # not join-closed
+
+    @pytest.mark.parametrize("diagram", helpers.oracle_corpus(), ids=lambda d: d.name)
+    def test_every_subset_against_definitions(self, diagram):
+        n = diagram.n
+        for mask in range(1 << n):
+            members = frozenset(x for x in range(n) if (mask >> x) & 1)
+            if helpers.ideal_by_definition(diagram, members):
+                expected = helpers.prime_ideal_by_definition(diagram, members)
+                assert is_prime_ideal(diagram, members) == expected, sorted(members)
+                continue
+            with pytest.raises(NotAnIdeal) as info:
+                is_prime_ideal(diagram, members)
+            if all(y in members for x in members for y in range(n) if diagram.leq(y, x)):
+                # the message names two maximal members whose join lies outside
+                x, y = map(int, re.search(r"at (\d+) v (\d+)$", str(info.value)).groups())
+                assert x != y and {x, y} <= members
+                assert not any(diagram.leq(x, z) or diagram.leq(y, z) for z in members - {x, y})
+                assert diagram.join(x, y) not in members
 
     def test_empty_and_full_are_not_prime(self, g22):
         assert not is_prime_ideal(g22, [])

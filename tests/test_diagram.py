@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -25,7 +26,7 @@ from slimfork import (
     ji_width_at_most_two,
     planar_key,
 )
-from slimfork.diagram import BYTE_ROW_LIMIT, find_m3, find_n5
+from slimfork.diagram import OrderTables, find_m3, find_n5
 from slimfork.errors import (
     CycleDetected,
     DuplicateCover,
@@ -123,19 +124,18 @@ class TestTables:
         for i, j in diagram.cover_pairs():
             assert diagram.height(j) >= diagram.height(i) + 1
 
-    @pytest.mark.parametrize("p, q, row_type", [(15, 17, bytes), (16, 16, tuple)])
-    def test_row_type_at_the_byte_boundary(self, p, q, row_type):
+    def test_masks_are_the_only_tables(self):
+        assert not {"meet", "join"} & {f.name for f in dataclasses.fields(OrderTables)}
+
+    @pytest.mark.parametrize("p, q", [(15, 17), (16, 16)])
+    def test_grid_meet_join_are_coordinatewise(self, p, q):
+        # element (i, j) of a grid has id i*q + j, so its coordinates are divmod(id, q)
         d = grid(GridSpec(p, q))
-        assert d.n == p * q and (d.n < BYTE_ROW_LIMIT) == (row_type is bytes)
-        assert {type(r) for r in d.tables.meet + d.tables.join} == {row_type}
-        up, down = d.tables.up, d.tables.down
-        down_index = {mask: x for x, mask in enumerate(down)}
-        up_index = {mask: x for x, mask in enumerate(up)}
-        for x in range(d.n):
-            mx, jx = d.tables.meet[x], d.tables.join[x]
-            for y in range(d.n):
-                assert mx[y] == down_index[down[x] & down[y]]
-                assert jx[y] == up_index[up[x] & up[y]]
+        coords = [divmod(x, q) for x in range(d.n)]
+        for x, (i, j) in enumerate(coords):
+            for y, (k, l) in enumerate(coords):
+                assert d.meet(x, y) == min(i, k) * q + min(j, l)
+                assert d.join(x, y) == max(i, k) * q + max(j, l)
 
     @pytest.mark.parametrize("diagram", helpers.lattice_corpus(), ids=lambda d: d.name)
     def test_down_is_transpose_of_up(self, diagram):

@@ -103,6 +103,21 @@ class TestDocuments:
         with pytest.raises(ParseError):
             io.load(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize("first, second", [("1", "01"), ("1", "+1"), ("10", "1_0")])
+    def test_two_keys_naming_one_element(self, tmp_path, first, second):
+        # without the check the second row would silently replace the first
+        ids = [0, 1, 2, 10]
+        doc = {
+            "elements": [{"id": i} for i in ids],
+            "upper_covers": {"0": [1, 2], "1": [10], "2": [10], "10": []},
+        }
+        doc["upper_covers"][second] = []
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        key = int(first)
+        with pytest.raises(ParseError, match=f"both name element {key}"):
+            io.load(path)
+
     def test_derived_lower_lists_across_family(self):
         # documents carry only upper lists; the lower lists rebuilt from
         # them must follow the plane order for every family member
