@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import posets
-from .diagram import PlanarDiagram, canonical_key, find_m3, find_n5, irreducibles
+from .diagram import PlanarDiagram, canonical_key, find_m3, irreducibles
 from .errors import (
     NotAnIdeal,
     NotDistributive,
@@ -736,14 +736,29 @@ def filter_candidate(candidate: PlanarDiagram) -> CandidateProfile:
     two dual atoms. Both are read from that order, as for a congruence
     lattice. Raises TooSmall for candidates with at most two elements
     and NotDistributive when a pentagon or diamond exists.
+
+    Distributivity is decided by counting down-sets of J(L) in
+    O(|L|·|J(L)|). In a finite lattice x ↦ ↓x ∩ J(L) is injective, and
+    by Birkhoff's representation theorem it is onto the down-sets of
+    J(L) exactly when L is distributive. So L is distributive iff J(L)
+    has exactly |L| down-sets, and the count stops past |L|. Only a
+    non-distributive candidate is searched for a diamond, which names
+    the failure; without one, a pentagon exists (Dedekind's M3-N5
+    theorem).
     """
     if candidate.n <= 2:
         raise TooSmall(f"candidate must have more than 2 elements, got {candidate.n}")
-    if find_m3(candidate) is not None:
-        raise NotDistributive("candidate contains a diamond sublattice")
-    if find_n5(candidate) is not None:
-        raise NotDistributive("candidate contains a pentagon sublattice")
     _, ji_up = posets.join_irreducible_order(candidate.tables.up)
+    strict_down = [
+        sum(1 << j for j, mask in enumerate(ji_up) if j != i and mask >> i & 1)
+        for i in range(len(ji_up))
+    ]
+    try:
+        posets.ideal_masks(strict_down, limit=candidate.n)
+    except TooLarge:
+        if find_m3(candidate) is not None:
+            raise NotDistributive("candidate contains a diamond sublattice") from None
+        raise NotDistributive("candidate contains a pentagon sublattice") from None
     return CandidateProfile(at_most_two_covers(ji_up), dual_atom_count(ji_up) >= 2)
 
 
@@ -751,9 +766,11 @@ def lattice_isomorphic(a, b) -> bool:
     """Order isomorphism of finite lattices.
 
     Accepts diagrams and congruence lattices in either slot; decided by
-    comparing canonical keys of the cover structures. Factorial on
-    symmetric inputs; search compares J orders instead and keeps this as
-    its test oracle.
+    comparing canonical keys of the cover structures. The key prunes
+    only twins, so it may take factorial time on symmetric lattices
+    without them, such as B_k with its k! automorphisms. search compares
+    J orders instead, where the symmetry of B_k is all twins, and keeps
+    this as its test oracle.
     """
     return _structure_key(a) == _structure_key(b)
 

@@ -119,9 +119,22 @@ def _read_json(path: PathLike):
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """Build a JSON object, refusing a key that it repeats.
+
+    Plain json.loads keeps only the last value of a repeated key.
+    """
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"key {key!r} repeated in one JSON object")
+        out[key] = value
+    return out
 
 
 def _is_int(value) -> bool:

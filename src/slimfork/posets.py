@@ -162,7 +162,17 @@ def canonical_key(covers: Sequence[Sequence[int]]) -> bytes:
     Two inputs yield equal keys exactly when their orders are
     isomorphic. Invariant colouring is refined to a fixpoint, then ties
     are broken by individualisation search; the minimum encoding over
-    all branches is canonical. Intended for diagrams of desk size.
+    all branches is canonical.
+
+    Twins, elements with the same upper and the same lower covers, are
+    branched on once per split cell. Swapping two twins is an
+    automorphism of the cover digraph. While neither is individualised
+    it fixes the colouring (refinement commutes with automorphisms), so
+    individualising one or the other reaches the same leaf encodings,
+    and the minimum is unchanged. An n-antichain, the J order of the
+    Boolean lattice B_n, takes n search nodes instead of n! leaves.
+    Symmetry without twins is still searched in full: k disjoint
+    2-chains still take k! leaves.
     """
     n = len(covers)
     if n == 0:
@@ -173,6 +183,7 @@ def canonical_key(covers: Sequence[Sequence[int]]) -> bytes:
     hts = heights(up, order)
     dps = depths(up, order)
     base = [(hts[i], dps[i], len(up[i]), len(dn[i])) for i in range(n)]
+    twin = [(tuple(sorted(up[i])), tuple(sorted(dn[i]))) for i in range(n)]
     rng = range(n)
 
     def refined(cols: list[int]) -> list[int]:
@@ -208,8 +219,11 @@ def canonical_key(covers: Sequence[Sequence[int]]) -> bytes:
             if best is None or enc < best:
                 best = enc
             return
-        members = [i for i in rng if cols[i] == split]
-        for v in members:
+        members = {}
+        for i in rng:
+            if cols[i] == split:
+                members.setdefault(twin[i], i)
+        for v in members.values():
             branched = _ranked([
                 (c, 1 if (c == split and i != v) else 0)
                 for i, c in enumerate(cols)

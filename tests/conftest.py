@@ -5,7 +5,7 @@ import time
 import pytest
 
 import helpers
-from slimfork import GridSpec, enumerate_family, grid, verify_claims
+from slimfork import EnumSpec, GridSpec, enumerate_family, grid, verify_claims
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +16,18 @@ def campaign():
     report = verify_claims(family)
     elapsed = time.perf_counter() - start
     return family, report, elapsed
+
+
+@pytest.fixture(scope="session")
+def acceptance_family(campaign):
+    """The 842 classes of the acceptance campaign."""
+    return campaign[0]
+
+
+@pytest.fixture(scope="session")
+def search_family():
+    """The 137 classes that the search-batch benchmark scans."""
+    return enumerate_family(EnumSpec(4, 4, 2))
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from slimfork import (
     grid,
     insert_fork,
     lattice_isomorphic,
+    posets,
     principal_congruence,
     rectangular_profile,
 )
@@ -312,3 +313,53 @@ def generic_key_enumeration(
                 if forked.n <= spec.max_elements:
                     wave.append((ForkScript(script.grid, script.steps + (cell.o,)), forked))
     return candidates, classes
+
+
+def canonical_key_unpruned(covers) -> bytes:
+    """Oracle for ``posets.canonical_key``: the same search with no twin pruning.
+
+    Branches on every member of each split cell, so it visits n! leaves
+    on an n-antichain. Keep inputs to about 8 elements.
+    """
+    n = len(covers)
+    if n == 0:
+        return b"(0, ())"
+    up = [tuple(us) for us in covers]
+    dn = posets.predecessor_lists(up)
+    order = posets.topological_order(up)
+    hts = posets.heights(up, order)
+    dps = posets.depths(up, order)
+
+    def ranked(values: list) -> list[int]:
+        rank = {v: r for r, v in enumerate(sorted(set(values)))}
+        return [rank[v] for v in values]
+
+    def refined(cols: list[int]) -> list[int]:
+        while True:
+            nxt = ranked([
+                (cols[i],
+                 tuple(sorted(cols[j] for j in up[i])),
+                 tuple(sorted(cols[j] for j in dn[i])))
+                for i in range(n)
+            ])
+            if nxt == cols:
+                return cols
+            cols = nxt
+
+    def leaves(cols: list[int]):
+        cols = refined(cols)
+        split = min((c for c in set(cols) if cols.count(c) > 1), default=None)
+        if split is None:
+            rows: list[tuple[int, ...]] = [()] * n
+            for i in range(n):
+                rows[cols[i]] = tuple(sorted(cols[j] for j in up[i]))
+            yield tuple(rows)
+            return
+        for v in range(n):
+            if cols[v] == split:
+                yield from leaves(ranked([
+                    (c, 1 if (c == split and i != v) else 0) for i, c in enumerate(cols)
+                ]))
+
+    best = min(leaves(ranked([(hts[i], dps[i], len(up[i]), len(dn[i])) for i in range(n)])))
+    return repr((n, best)).encode("ascii")

@@ -85,6 +85,25 @@ class TestScriptCommand:
         assert status == 2
 
 
+class TestRepeatedJsonKey:
+    @pytest.mark.parametrize(
+        "argv",
+        [("check", "dup.json", "--props", "sm"), ("script", "dup.script.json")],
+        ids=["document", "script"],
+    )
+    def test_exits_two(self, workdir, capsys, argv):
+        (workdir / "dup.json").write_text(
+            '{"elements": [{"id": 0}, {"id": 1}, {"id": 2}], '
+            '"upper_covers": {"0": [1], "1": [], "1": [2], "2": []}}'
+        )
+        (workdir / "dup.script.json").write_text('{"grid": [2, 2], "steps": [], "steps": [0]}')
+        status = main(list(argv))
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "repeated in one JSON object" in captured.err
+
+
 class TestDiagramCap:
     @pytest.mark.parametrize(
         "argv",
@@ -280,6 +299,16 @@ class TestSearchCommand:
         )
         assert status == 0
         assert {"grid": [2, 2], "steps": []} in payload["witnesses"]
+
+    def test_b8_witness(self, workdir, capsys):
+        io.save(helpers.boolean(8), workdir / "b8.json")
+        status, payload = run(
+            capsys,
+            "search", "b8.json", "--pmax", "5", "--qmax", "5", "--max-forks", "0",
+        )
+        assert status == 0
+        assert payload["witnesses"] == [{"grid": [5, 5], "steps": []}]
+        assert payload["note"] == "1 witness(es) among 10 classes"
 
     def test_non_distributive_target(self, workdir, capsys):
         io.save(helpers.m3(), workdir / "m3.json")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from slimfork import (
     swing_ji_congruences,
 )
 from slimfork import congruence
+from slimfork.diagram import find_m3, find_n5
 from slimfork.errors import (
     NotAnIdeal,
     NotDistributive,
@@ -637,6 +639,53 @@ class TestFilterCandidate:
     def test_too_small(self, c2):
         with pytest.raises(TooSmall):
             filter_candidate(c2)
+
+    @pytest.mark.parametrize(
+        "diagram, message",
+        [
+            (helpers.n5(), "candidate contains a pentagon sublattice"),
+            (helpers.m3(), "candidate contains a diamond sublattice"),
+            (helpers.s7(), "candidate contains a pentagon sublattice"),
+        ],
+        ids=["n5", "m3", "s7"],
+    )
+    def test_not_distributive_messages(self, diagram, message):
+        for d in (diagram, helpers.mirror(diagram)):
+            with pytest.raises(NotDistributive) as info:
+                filter_candidate(d)
+            assert type(info.value) is NotDistributive
+            assert str(info.value) == message
+
+    def test_down_set_count_agrees_with_sublattice_search(self, search_family):
+        corpus = helpers.oracle_corpus() + helpers.lattice_corpus()
+        corpus += [helpers.mirror(d) for d in corpus]
+        corpus += [helpers.boolean(k) for k in range(2, 6)]
+        corpus += [entry.diagram for entry in search_family.members()]
+        verdicts = set()
+        for d in corpus:
+            if d.n <= 2:
+                continue
+            if find_m3(d) is not None:
+                expected = "candidate contains a diamond sublattice"
+            elif find_n5(d) is not None:
+                expected = "candidate contains a pentagon sublattice"
+            else:
+                expected = None
+            try:
+                filter_candidate(d)
+                got = None
+            except NotDistributive as exc:
+                got = str(exc)
+            assert got == expected, d.name
+            verdicts.add(expected)
+        assert len(verdicts) == 3
+
+    def test_boolean_8_is_fast(self):
+        b8 = helpers.boolean(8)
+        start = time.perf_counter()
+        profile = filter_candidate(b8)
+        assert time.perf_counter() - start < 1.0
+        assert profile.p1_ok and profile.p2_ok
 
 
 class TestLatticeIsomorphic:

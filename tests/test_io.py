@@ -118,6 +118,24 @@ class TestDocuments:
         with pytest.raises(ParseError, match=f"both name element {key}"):
             io.load(path)
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            # the last "1" row alone would make the 3-chain 0 < 1 < 2
+            ('{"elements": [{"id": 0}, {"id": 1}, {"id": 2}], '
+             '"upper_covers": {"0": [1], "1": [], "1": [2], "2": []}}', "1"),
+            ('{"name": "a", "name": "b", "elements": [{"id": 0}], '
+             '"upper_covers": {"0": []}}', "name"),
+            ('{"elements": [{"id": 0, "id": 1}], "upper_covers": {"0": []}}', "id"),
+        ],
+        ids=["upper_covers", "top level", "element"],
+    )
+    def test_repeated_json_key(self, tmp_path, doc, key):
+        path = tmp_path / "dup.json"
+        path.write_text(doc)
+        with pytest.raises(ParseError, match=f"key '{key}' repeated"):
+            io.load(path)
+
     def test_derived_lower_lists_across_family(self):
         # documents carry only upper lists; the lower lists rebuilt from
         # them must follow the plane order for every family member
@@ -138,6 +156,12 @@ class TestScripts:
         io.save_script(script, path)
         assert io.load_script(path) == script
         assert json.loads(path.read_text()) == {"grid": [3, 3], "steps": [4, 0]}
+
+    def test_repeated_json_key(self, tmp_path):
+        path = tmp_path / "dup.script.json"
+        path.write_text('{"grid": [2, 2], "steps": [], "steps": [0]}')
+        with pytest.raises(ParseError, match="key 'steps' repeated"):
+            io.load_script(path)
 
 
 DOT_EDGE = re.compile(r'^\s*"(\d+)" -> "(\d+)";$')

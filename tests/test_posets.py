@@ -1,8 +1,14 @@
 from __future__ import annotations
 
-import pytest
+import random
+import time
 
-from slimfork import posets
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
+from slimfork import posets, swing_ji_congruences
 from slimfork.errors import CycleDetected, TooLarge
 
 
@@ -78,3 +84,64 @@ def test_ideal_masks_limit():
     assert len(posets.ideal_masks(antichain, 8)) == 8
     with pytest.raises(TooLarge):
         posets.ideal_masks(antichain, 7)
+
+
+@st.composite
+def cover_digraphs(draw):
+    """An acyclic digraph of at most 8 elements under a random labelling."""
+    n = draw(st.integers(0, 8))
+    edges = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    perm = draw(st.permutations(range(n)))
+    covers: list[list[int]] = [[] for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), edge in zip(pairs, edges):
+        if edge:
+            covers[perm[i]].append(perm[j])
+    return covers
+
+
+def relabelled(covers, perm):
+    out: list[list[int]] = [[] for _ in covers]
+    for i, ups in enumerate(covers):
+        out[perm[i]] = [perm[j] for j in ups]
+    return out
+
+
+class TestCanonicalKeyAgainstOracle:
+    """Twin pruning leaves every key byte as the unpruned search has it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cover_digraphs(), st.randoms(use_true_random=False))
+    def test_random_digraphs(self, covers, rng):
+        key = posets.canonical_key(covers)
+        assert key == helpers.canonical_key_unpruned(covers)
+        perm = helpers.random_permutation(len(covers), rng)
+        assert posets.canonical_key(relabelled(covers, perm)) == key
+
+    @pytest.mark.parametrize("family_name", ["search_family", "acceptance_family"])
+    def test_ji_orders_of_families(self, request, family_name):
+        rng = random.Random(11)
+        for entry in request.getfixturevalue(family_name).members():
+            covers = swing_ji_congruences(entry.diagram).cover_lists()
+            key = posets.canonical_key(covers)
+            assert key == helpers.canonical_key_unpruned(covers), entry.script.to_obj()
+            perm = helpers.random_permutation(len(covers), rng)
+            assert posets.canonical_key(relabelled(covers, perm)) == key
+
+    def test_twin_pairs(self):
+        # two twin tops over a 2-chain, and a bowtie of two twin pairs
+        for covers in ([[1], [2, 3], [], []], [[2, 3], [2, 3], [], []]):
+            assert posets.canonical_key(covers) == helpers.canonical_key_unpruned(covers)
+
+
+class TestCanonicalKeyCost:
+    def test_antichains_and_boolean_ji_orders(self):
+        orders = [[[] for _ in range(n)] for n in range(2, 12)]
+        for k in range(1, 11):
+            _, ji_up = posets.join_irreducible_order(helpers.boolean(k).tables.up)
+            orders.append(posets.cover_lists_from_up(ji_up))
+            assert orders[-1] == [[] for _ in range(k)]
+        start = time.perf_counter()
+        for covers in orders:
+            posets.canonical_key(covers)
+        assert time.perf_counter() - start < 5.0
