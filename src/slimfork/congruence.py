@@ -743,8 +743,8 @@ def filter_candidate(candidate: PlanarDiagram) -> CandidateProfile:
     J(L) exactly when L is distributive. So L is distributive iff J(L)
     has exactly |L| down-sets, and the count stops past |L|. Only a
     non-distributive candidate is searched for a diamond, which names
-    the failure; without one, a pentagon exists (Dedekind's M3-N5
-    theorem).
+    the failure; without one, a pentagon exists (the M3-N5 theorem of
+    Dedekind and Birkhoff).
     """
     if candidate.n <= 2:
         raise TooSmall(f"candidate must have more than 2 elements, got {candidate.n}")

@@ -219,11 +219,11 @@ def canonical_key(covers: Sequence[Sequence[int]]) -> bytes:
             if best is None or enc < best:
                 best = enc
             return
-        members = {}
+        reps: dict[tuple, int] = {}
         for i in rng:
             if cols[i] == split:
-                members.setdefault(twin[i], i)
-        for v in members.values():
+                reps.setdefault(twin[i], i)
+        for v in reps.values():
             branched = _ranked([
                 (c, 1 if (c == split and i != v) else 0)
                 for i, c in enumerate(cols)
