@@ -741,20 +741,17 @@ def filter_candidate(candidate: PlanarDiagram) -> CandidateProfile:
     O(|L|·|J(L)|). In a finite lattice x ↦ ↓x ∩ J(L) is injective, and
     by Birkhoff's representation theorem it is onto the down-sets of
     J(L) exactly when L is distributive. So L is distributive iff J(L)
-    has exactly |L| down-sets, and the count stops past |L|. Only a
-    non-distributive candidate is searched for a diamond, which names
-    the failure; without one, a pentagon exists (the M3-N5 theorem of
-    Dedekind and Birkhoff).
+    has exactly |L| down-sets, and the count stops past |L|. It counts
+    the up-sets, the complements of the down-sets, which need no
+    transposed masks. Only a non-distributive candidate is searched for
+    a diamond, which names the failure; without one, a pentagon exists
+    (the M3-N5 theorem of Dedekind and Birkhoff).
     """
     if candidate.n <= 2:
         raise TooSmall(f"candidate must have more than 2 elements, got {candidate.n}")
     _, ji_up = posets.join_irreducible_order(candidate.tables.up)
-    strict_down = [
-        sum(1 << j for j, mask in enumerate(ji_up) if j != i and mask >> i & 1)
-        for i in range(len(ji_up))
-    ]
     try:
-        posets.ideal_masks(strict_down, limit=candidate.n)
+        posets.ideal_masks([m & ~(1 << i) for i, m in enumerate(ji_up)], limit=candidate.n)
     except TooLarge:
         if find_m3(candidate) is not None:
             raise NotDistributive("candidate contains a diamond sublattice") from None
