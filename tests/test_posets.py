@@ -128,10 +128,23 @@ class TestCanonicalKeyAgainstOracle:
             perm = helpers.random_permutation(len(covers), rng)
             assert posets.canonical_key(relabelled(covers, perm)) == key
 
-    def test_twin_pairs(self):
-        # two twin tops over a 2-chain, and a bowtie of two twin pairs
-        for covers in ([[1], [2, 3], [], []], [[2, 3], [2, 3], [], []]):
-            assert posets.canonical_key(covers) == helpers.canonical_key_unpruned(covers)
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            [[1], [2, 3], [], []],
+            [[2, 3], [2, 3], [], []],
+            # crowns of 4 and 8 elements: colour refinement puts all six
+            # minimal elements in one cell, but only the crown of 4 has twins
+            [[6, 7], [6, 7], [8, 11], [8, 9], [9, 10], [10, 11]] + [[] for _ in range(6)],
+        ],
+        ids=["twin-tops", "bowtie", "two-crowns"],
+    )
+    def test_twins_among_non_twins(self, covers):
+        key = helpers.canonical_key_unpruned(covers)
+        rng = random.Random(5)
+        for _ in range(20):
+            perm = helpers.random_permutation(len(covers), rng)
+            assert posets.canonical_key(relabelled(covers, perm)) == key
 
 
 class TestCanonicalKeyCost:
