@@ -183,7 +183,6 @@ def canonical_key(covers: Sequence[Sequence[int]]) -> bytes:
     hts = heights(up, order)
     dps = depths(up, order)
     base = [(hts[i], dps[i], len(up[i]), len(dn[i])) for i in range(n)]
-    twin = [(tuple(sorted(up[i])), tuple(sorted(dn[i]))) for i in range(n)]
     rng = range(n)
 
     def refined(cols: list[int]) -> list[int]:
@@ -219,10 +218,12 @@ def canonical_key(covers: Sequence[Sequence[int]]) -> bytes:
             if best is None or enc < best:
                 best = enc
             return
+        # Twin classes are read only here, in the split cell, so inputs
+        # that refine to discrete colours pay nothing for them.
         reps: dict[tuple, int] = {}
         for i in rng:
             if cols[i] == split:
-                reps.setdefault(twin[i], i)
+                reps.setdefault((frozenset(up[i]), frozenset(dn[i])), i)
         for v in reps.values():
             branched = _ranked([
                 (c, 1 if (c == split and i != v) else 0)
