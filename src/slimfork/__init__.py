@@ -30,6 +30,7 @@ from .construct import (
     cell_at,
     check_fork_growth,
     fork_edit,
+    fork_edits,
     grid,
     insert_fork,
     rectangular_profile,

@@ -37,7 +37,7 @@ from .construct import (
     RectangularProfile,
     build_fork,
     check_fork_growth,
-    fork_edit,
+    fork_edits,
     grid,
     rectangular_profile,
 )
@@ -161,11 +161,10 @@ def _expand(entry: FamilyEntry, spec: EnumSpec, rng: Optional[random.Random]) ->
     if rng is not None:
         rng.shuffle(cells)
     out = []
-    for cell in cells:
-        edit = fork_edit(entry.diagram, cell)
+    for edit in fork_edits(entry.diagram, cells):
         if len(edit.upper) > spec.max_elements:
             continue
-        script = ForkScript(entry.script.grid, entry.script.steps + (cell.o,))
+        script = ForkScript(entry.script.grid, entry.script.steps + (edit.cell.o,))
         out.append((planar_key(edit.upper, entry.diagram.bottom), script, edit))
     return out
 

@@ -18,7 +18,8 @@ topological order. The masks are the only tables of the order: the meet
 of x and y is the element whose down mask is down[x] & down[y], and the
 join the element whose up mask is up[x] & up[y], each found by one dict
 lookup. Diagrams are capped at DIAGRAM_MAX_ELEMENTS elements, because
-the lattice check at construction tests every pair of elements.
+the lattice check at construction tests n·|J(L)| joins, which is still
+quadratic in the size on a chain.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .errors import (
     ValidationError,
 )
 
-# The lattice check at construction is quadratic in the size.
+# The lattice check at construction tests n·|J(L)| joins, quadratic in
+# the size on a chain.
 DIAGRAM_MAX_ELEMENTS = 2_048
 
 
@@ -80,7 +82,7 @@ class PlanarDiagram:
         "tables", "bottom", "top", "left_rank", "cover_mask", "_key",
     )
 
-    def __init__(self, upper, lower, labels, name, tables, bottom, top, left_rank):
+    def __init__(self, upper, lower, labels, name, tables, bottom, top, left_rank, cover_mask):
         self.n = len(upper)
         self.upper = upper
         self.lower = lower
@@ -90,7 +92,7 @@ class PlanarDiagram:
         self.bottom = bottom
         self.top = top
         self.left_rank = left_rank
-        self.cover_mask = tuple(_mask(row) for row in upper)
+        self.cover_mask = cover_mask
         self._key = None
 
     def leq(self, x: int, y: int) -> bool:
@@ -138,6 +140,25 @@ def build_diagram(
     TooLarge above DIAGRAM_MAX_ELEMENTS elements, and CycleDetected,
     NotBounded, DuplicateCover, NotALattice or ValidationError
     accordingly.
+
+    The lattice check tests only the joins x v j, for every element x
+    and every j in J(L), the elements with exactly one lower cover. In
+    a finite poset with a least element these joins decide
+    lattice-ness:
+
+    (i) Each z is the least upper bound of J(z), the elements of J(L)
+        below z, by induction along a linear extension. The least upper
+        bound s of J(z) exists, as a chain of tested joins starting at
+        the bottom, and s <= z. If s < z, then z is not in J(L), so it
+        has two or more lower covers, and s lies below one of them, c.
+        Any other lower cover c' satisfies c' = lub(J(c')) <= s <= c,
+        but distinct lower covers are incomparable.
+    (ii) x v y = x v j_1 v ... v j_m over J(y) = {j_1, ..., j_m}, and
+        each step is a tested join.
+
+    A finite join-semilattice with a least element is a lattice, so
+    meets need no test, and a pair without a join is always reported
+    as such.
     """
     n = len(upper)
     if n == 0:
@@ -158,10 +179,16 @@ def build_diagram(
 
     order = posets.topological_order(ups)
     up_mask = posets.up_masks(ups, order)
+    cover_mask = [_mask(row) for row in ups]
     for i, row in enumerate(ups):
-        for j in row:
-            if any(k != j and (up_mask[k] >> j) & 1 for k in row):
-                raise ValidationError(f"edge {i} -< {j} is implied by a longer chain")
+        # elements strictly above some cover of i
+        above = 0
+        for k in row:
+            above |= up_mask[k] ^ 1 << k
+        if above & cover_mask[i]:
+            for j in row:
+                if any(k != j and (up_mask[k] >> j) & 1 for k in row):
+                    raise ValidationError(f"edge {i} -< {j} is implied by a longer chain")
 
     preds = posets.predecessor_lists(ups)
     # reachability along the lower covers, bottom first
@@ -176,19 +203,17 @@ def build_diagram(
     bottom, top = minimal[0], maximal[0]
 
     height = posets.heights(ups, order)
-    left_rank = _left_preorder(ups, bottom)
+    left_rank, _ = _left_walk(ups, bottom)
 
     lows = [sorted(pre, key=left_rank.__getitem__) for pre in preds]
 
     down_index = {down_mask[i]: i for i in range(n)}
     up_index = {up_mask[i]: i for i in range(n)}
-    for x in range(n):
-        dx, ux = down_mask[x], up_mask[x]
-        for y in range(x, n):
-            if dx & down_mask[y] not in down_index:
-                raise NotALattice(f"elements {x} and {y} have no meet")
-            if ux & up_mask[y] not in up_index:
-                raise NotALattice(f"elements {x} and {y} have no join")
+    ji = [j for j, pre in enumerate(preds) if len(pre) == 1]
+    for x, ux in enumerate(up_mask):
+        for j in ji:
+            if ux & up_mask[j] not in up_index:
+                raise NotALattice(f"elements {x} and {j} have no join")
 
     tables = OrderTables(
         up=tuple(up_mask),
@@ -209,22 +234,30 @@ def build_diagram(
         bottom,
         top,
         tuple(left_rank),
+        tuple(cover_mask),
     )
 
 
-def _left_preorder(upper: Sequence[Sequence[int]], bottom: int) -> list[int]:
-    """First-visit order of a depth-first walk taking leftmost covers first."""
+def _left_walk(
+    upper: Sequence[Sequence[int]], bottom: int, mirrored: bool = False
+) -> tuple[list[int], list[int]]:
+    """Rank and visit order of a depth-first walk taking leftmost covers first.
+
+    ``order`` lists the elements in first-visit order, and ``rank[x]``
+    is the position of x in it, or -1 when x is not above ``bottom``.
+    With ``mirrored`` the walk takes rightmost covers first, as the
+    plain walk does on the mirror image.
+    """
     rank = [-1] * len(upper)
+    order: list[int] = []
     stack = [bottom]
-    count = 0
     while stack:
         x = stack.pop()
-        if rank[x] >= 0:
-            continue
-        rank[x] = count
-        count += 1
-        stack.extend(reversed(upper[x]))
-    return rank
+        if rank[x] < 0:
+            rank[x] = len(order)
+            order.append(x)
+            stack.extend(upper[x] if mirrored else reversed(upper[x]))
+    return rank, order
 
 
 def is_graded(diagram: PlanarDiagram) -> bool:
@@ -386,29 +419,36 @@ def planar_key(upper: Sequence[Sequence[int]], bottom: int) -> bytes:
     """Canonical byte string of a drawing, up to relabelling and reflection.
 
     Works on raw ordered upper-cover lists, every element above
-    ``bottom``. Elements are renumbered by the leftmost-first walk from
-    ``bottom`` and the ordered upper lists are written in that numbering;
-    the mirror image, every list reversed, is written the same way, and
-    the smaller encoding is kept. The key encodes the whole cover
-    digraph, so equal keys mean equal drawings up to relabelling and
-    reflection. A slim rectangular lattice has only one planar diagram
-    up to reflection (Czédli and Grätzer, 2014), so on such lattices the
-    key separates isomorphism classes as :func:`canonical_key` does, in
-    linear time.
+    ``bottom``. A drawing code renumbers the elements by the
+    leftmost-first walk from ``bottom`` and lists the ordered upper
+    lists in that numbering; the mirror image, every list reversed, has
+    a code of its own, and the key holds the smaller of the two. Each
+    orientation is walked once, the codes are compared row by row up to
+    their first difference, and only the smaller one is written out.
+    The key encodes the whole cover digraph, so equal keys mean equal
+    drawings up to relabelling and reflection. A slim rectangular
+    lattice has only one planar diagram up to reflection (Czédli and
+    Grätzer, 2014), so on such lattices the key separates isomorphism
+    classes as :func:`canonical_key` does, in linear time.
     """
-    mirror = [row[::-1] for row in upper]
-    best = min(_drawing_code(upper, bottom), _drawing_code(mirror, bottom))
-    return repr((len(upper), best)).encode("ascii")
-
-
-def _drawing_code(upper: Sequence[Sequence[int]], bottom: int) -> tuple:
-    rank = _left_preorder(upper, bottom)
-    if -1 in rank:
+    rank, order = _left_walk(upper, bottom)
+    if len(order) < len(upper):
         raise ValidationError(f"element {rank.index(-1)} is not above the bottom {bottom}")
-    rows: list[tuple[int, ...]] = [()] * len(upper)
-    for x, row in enumerate(upper):
-        rows[rank[x]] = tuple(map(rank.__getitem__, row))
-    return tuple(rows)
+    mrank, morder = _left_walk(upper, bottom, mirrored=True)
+    mirrored = False
+    for x, y in zip(order, morder):
+        row = [rank[z] for z in upper[x]]
+        mrow = [mrank[z] for z in reversed(upper[y])]
+        if row != mrow:
+            mirrored = mrow < row
+            break
+    if mirrored:
+        at = mrank.__getitem__
+        code = tuple([tuple(map(at, reversed(upper[x]))) for x in morder])
+    else:
+        at = rank.__getitem__
+        code = tuple([tuple(map(at, upper[x])) for x in order])
+    return repr((len(upper), code)).encode("ascii")
 
 
 def is_isomorphic(a: PlanarDiagram, b: PlanarDiagram) -> bool:

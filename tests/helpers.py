@@ -25,6 +25,7 @@ from slimfork import (
     principal_congruence,
     rectangular_profile,
 )
+from slimfork.errors import ValidationError
 
 ACCEPTANCE_SPEC = EnumSpec(p_max=4, q_max=4, max_forks=3, max_elements=40)
 
@@ -138,6 +139,68 @@ def lattice_corpus() -> list[PlanarDiagram]:
         fork_at(grid(GridSpec(3, 2)), 2).diagram,
         fork_at(s7(), 0).diagram,
     ]
+
+
+def all_pairs_is_lattice(upper) -> bool:
+    """Oracle for the lattice check of ``build_diagram``: every pair has a meet and a join.
+
+    ``upper`` lists the upper covers of a bounded, acyclic, transitively
+    reduced digraph.
+    """
+    n = len(upper)
+    up_mask = posets.up_masks(upper)
+    down_mask = posets.up_masks(posets.predecessor_lists(upper))
+    down_index, up_index = set(down_mask), set(up_mask)
+    for x in range(n):
+        dx, ux = down_mask[x], up_mask[x]
+        for y in range(x, n):
+            if dx & down_mask[y] not in down_index or ux & up_mask[y] not in up_index:
+                return False
+    return True
+
+
+def drawing_code(upper, bottom: int) -> tuple:
+    """The ordered upper lists renumbered by the leftmost-first walk from ``bottom``."""
+    rank = [-1] * len(upper)
+    stack, count = [bottom], 0
+    while stack:
+        x = stack.pop()
+        if rank[x] < 0:
+            rank[x] = count
+            count += 1
+            stack.extend(reversed(upper[x]))
+    if -1 in rank:
+        raise ValidationError(f"element {rank.index(-1)} is not above the bottom {bottom}")
+    code: list[tuple[int, ...]] = [()] * len(upper)
+    for x, row in enumerate(upper):
+        code[rank[x]] = tuple(rank[y] for y in row)
+    return tuple(code)
+
+
+def planar_key_both_codes(upper, bottom: int) -> bytes:
+    """Oracle for ``planar_key``: both drawing codes written out in full, then the smaller."""
+    mirror = [row[::-1] for row in upper]
+    best = min(drawing_code(upper, bottom), drawing_code(mirror, bottom))
+    return repr((len(upper), best)).encode("ascii")
+
+
+def bounded_poset(n: int, related) -> list[list[int]]:
+    """Upper covers of the order on 0..n-1 generated by ``related``, with 0 least and n-1 greatest.
+
+    ``related`` holds pairs i < j of elements strictly between 0 and n-1.
+    """
+    above = [[] for _ in range(n)]
+    for i, j in related:
+        above[i].append(j)
+    up = [0] * n
+    up[n - 1] = 1 << n - 1
+    for i in range(n - 2, 0, -1):
+        mask = 1 << i | 1 << n - 1
+        for j in above[i]:
+            mask |= up[j]
+        up[i] = mask
+    up[0] = (1 << n) - 1
+    return posets.cover_lists_from_up(up)
 
 
 def all_pairs_semimodular(diagram: PlanarDiagram) -> bool:

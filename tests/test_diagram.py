@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from slimfork import (
     boundary_chains,
     build_diagram,
     canonical_key,
+    fork_edits,
     four_cells,
     grid,
     is_graded,
@@ -25,6 +27,7 @@ from slimfork import (
     insert_fork,
     ji_width_at_most_two,
     planar_key,
+    posets,
 )
 from slimfork.diagram import OrderTables, find_m3, find_n5
 from slimfork.errors import (
@@ -72,8 +75,16 @@ class TestBuild:
 
     def test_not_a_lattice(self):
         # bowtie: two atoms under two coatoms, then bounded
-        with pytest.raises(NotALattice):
+        with pytest.raises(NotALattice, match=r"^elements 1 and 2 have no join$"):
             build_diagram([[1, 2], [3, 4], [3, 4], [5], [5], []])
+
+    def test_joins_within_ji_are_not_enough(self):
+        # J(L) is the three atoms, whose pairwise joins 4, 5 and 6 exist,
+        # but 4 and 5 have two minimal upper bounds, 7 and 8
+        upper = [[1, 2, 3], [4, 6], [4, 5], [5, 6], [7, 8], [7, 8], [7, 8], [9], [9], []]
+        assert not helpers.all_pairs_is_lattice(upper)
+        with pytest.raises(NotALattice, match=r"^elements 4 and 3 have no join$"):
+            build_diagram(upper)
 
     def test_empty(self):
         with pytest.raises(NotBounded):
@@ -95,6 +106,47 @@ class TestBuild:
     def test_cap(self):
         with pytest.raises(TooLarge):
             helpers.chain(DIAGRAM_MAX_ELEMENTS + 1)
+
+
+def _check_lattice_verdict(upper):
+    """build_diagram refuses ``upper`` exactly when the all-pairs oracle does."""
+    is_lattice = helpers.all_pairs_is_lattice(upper)
+    try:
+        build_diagram(upper)
+    except NotALattice as exc:
+        assert not is_lattice, upper
+        x, y = map(int, re.fullmatch(r"elements (\d+) and (\d+) have no join", str(exc)).groups())
+        up = posets.up_masks(upper)
+        assert up[x] & up[y] not in up, (upper, str(exc))
+    else:
+        assert is_lattice, upper
+    return is_lattice
+
+
+class TestLatticeCheck:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_all_pairs_oracle(self, data):
+        n = data.draw(st.integers(3, 9))
+        pairs = list(itertools.combinations(range(1, n - 1), 2))
+        related = [p for p in pairs if data.draw(st.booleans())]
+        _check_lattice_verdict(helpers.bounded_poset(n, related))
+
+    def test_agrees_on_seeded_sample(self):
+        rng = random.Random(20_111)
+        verdicts = []
+        for _ in range(10_000):
+            n = rng.randint(3, 9)
+            density = rng.random()
+            related = [
+                p for p in itertools.combinations(range(1, n - 1), 2) if rng.random() < density
+            ]
+            verdicts.append(_check_lattice_verdict(helpers.bounded_poset(n, related)))
+        assert verdicts.count(False) >= 250
+
+    @pytest.mark.parametrize("diagram", helpers.lattice_corpus(), ids=lambda d: d.name)
+    def test_oracle_accepts_corpus(self, diagram):
+        assert helpers.all_pairs_is_lattice(diagram.upper)
 
 
 class TestTables:
@@ -358,5 +410,43 @@ class TestPlanarKey:
         assert collisions == [["grid-2x3", "grid-3x2"]]
 
     def test_rejects_element_not_above_bottom(self):
-        with pytest.raises(ValidationError):
-            planar_key([[1], [], [1]], 0)
+        for key in (planar_key, helpers.planar_key_both_codes):
+            with pytest.raises(ValidationError, match=r"^element 2 is not above the bottom 0$"):
+                key([[1], [], [1]], 0)
+
+    def test_matches_both_codes_on_acceptance_candidates(self, acceptance_family):
+        spec = acceptance_family.spec
+        candidates = [
+            grid(GridSpec(p, q)).upper
+            for p in range(2, spec.p_max + 1)
+            for q in range(2, min(spec.q_max, spec.max_elements // p) + 1)
+        ]
+        for entry in acceptance_family.members():
+            if entry.forks < spec.max_forks:
+                for edit in fork_edits(entry.diagram, four_cells(entry.diagram)):
+                    if len(edit.upper) <= spec.max_elements:
+                        candidates.append(edit.upper)
+        assert len(candidates) == acceptance_family.candidates == 1737
+        for upper in candidates:
+            assert planar_key(upper, 0) == helpers.planar_key_both_codes(upper, 0)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_both_codes_on_fork_scripts(self, data):
+        d = _fork_script_diagram(data)
+        perm = data.draw(st.permutations(range(d.n)))
+        for e in (d, helpers.mirror(d), helpers.relabel(d, list(perm))):
+            assert _key(e) == helpers.planar_key_both_codes(e.upper, e.bottom)
+
+    @pytest.mark.parametrize(
+        "diagram",
+        [grid(GridSpec(k, k)) for k in range(2, 7)] + [helpers.chain(5), helpers.m3(), helpers.boolean(3)],
+        ids=lambda d: d.name,
+    )
+    def test_matches_both_codes_on_self_mirror_drawings(self, diagram):
+        # the two codes tie, so the row comparison runs to the last row
+        mirror = [row[::-1] for row in diagram.upper]
+        code = helpers.drawing_code(diagram.upper, diagram.bottom)
+        assert helpers.drawing_code(mirror, diagram.bottom) == code
+        assert _key(diagram) == helpers.planar_key_both_codes(diagram.upper, diagram.bottom)
+        assert _key(diagram) == repr((diagram.n, code)).encode("ascii")
