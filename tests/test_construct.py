@@ -10,12 +10,12 @@ import helpers
 from slimfork import (
     ForkEdit,
     ForkScript,
+    FourCell,
     GridSpec,
     boundary_chains,
     build_fork,
     canonical_key,
     check_fork_growth,
-    FourCell,
     fork_edit,
     fork_edits,
     four_cells,
