@@ -82,7 +82,7 @@ class PlanarDiagram:
         "tables", "bottom", "top", "left_rank", "cover_mask", "_key",
     )
 
-    def __init__(self, upper, lower, labels, name, tables, bottom, top, left_rank, cover_mask):
+    def __init__(self, upper, lower, labels, name, tables, bottom, top, left_rank):
         self.n = len(upper)
         self.upper = upper
         self.lower = lower
@@ -92,7 +92,7 @@ class PlanarDiagram:
         self.bottom = bottom
         self.top = top
         self.left_rank = left_rank
-        self.cover_mask = cover_mask
+        self.cover_mask = tuple(_mask(row) for row in upper)
         self._key = None
 
     def leq(self, x: int, y: int) -> bool:
@@ -179,16 +179,14 @@ def build_diagram(
 
     order = posets.topological_order(ups)
     up_mask = posets.up_masks(ups, order)
-    cover_mask = [_mask(row) for row in ups]
     for i, row in enumerate(ups):
         # elements strictly above some cover of i
         above = 0
         for k in row:
             above |= up_mask[k] ^ 1 << k
-        if above & cover_mask[i]:
-            for j in row:
-                if any(k != j and (up_mask[k] >> j) & 1 for k in row):
-                    raise ValidationError(f"edge {i} -< {j} is implied by a longer chain")
+        for j in row:
+            if above >> j & 1:
+                raise ValidationError(f"edge {i} -< {j} is implied by a longer chain")
 
     preds = posets.predecessor_lists(ups)
     # reachability along the lower covers, bottom first
@@ -234,7 +232,6 @@ def build_diagram(
         bottom,
         top,
         tuple(left_rank),
-        tuple(cover_mask),
     )
 
 
