@@ -69,6 +69,21 @@ class TestBuild:
         with pytest.raises(ValidationError):
             build_diagram([[1, 2], [2], []])
 
+    @pytest.mark.parametrize(
+        "upper, edge",
+        [
+            ([[1, 2], [2], []], "0 -< 2"),
+            ([[2, 1], [2], []], "0 -< 2"),
+            ([[1, 3], [2], [3], []], "0 -< 3"),
+            ([[1], [2, 3], [3], []], "1 -< 3"),
+            ([[1, 2, 3], [2], [3], []], "0 -< 2"),
+        ],
+    )
+    def test_implied_edge_message(self, upper, edge):
+        # the first implied cover of the first offending row is named
+        with pytest.raises(ValidationError, match=rf"^edge {edge} is implied by a longer chain$"):
+            build_diagram(upper)
+
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             build_diagram([[5], []])
