@@ -30,7 +30,6 @@ from .construct import (
     cell_at,
     check_fork_growth,
     fork_edit,
-    fork_edits,
     grid,
     insert_fork,
     rectangular_profile,
@@ -54,6 +53,7 @@ from .congruence import (
     filter_candidate,
     is_congruence,
     is_prime_ideal,
+    jh_permutation,
     ji_congruences,
     ji_poset_of,
     lattice_isomorphic,

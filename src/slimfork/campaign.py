@@ -1,12 +1,15 @@
 """Exhaustive enumeration of the grid-plus-forks family and claim checks.
 
-Enumeration runs breadth first over fork counts. One work unit edits
-the cover lists of a single frontier diagram for a fork at every
-covering square and keys each edit by its planar key
-(:func:`diagram.planar_key`), with no order table built. Unit results
-are merged in (key, script) order with first-witness-wins, and only the
-first candidate of each new key is built, validated and profiled, so
-the family and the chosen witness scripts are identical for any
+Enumeration runs breadth first over fork counts. A slim semimodular
+diagram has a Jordan–Hölder permutation pi (:func:`congruence.jh_permutation`),
+and a fork at a covering square inserts one point into it, so one work
+unit reads pi off a single frontier diagram and predicts the permutation
+of a fork at every covering square, with no cover-list edit. Candidates
+are keyed by the orbit key min(pi, pi^-1), which separates isomorphism
+classes as the planar key (:func:`diagram.planar_key`) does, and merged
+in (key, script) order with first-witness-wins; only the first candidate
+of each new key is edited, built, validated, planar-keyed and profiled.
+So the family and the chosen witness scripts are identical for any
 work-order permutation. Units are pure functions over immutable
 diagrams and may be executed concurrently; the merge is the only
 sequential step.
@@ -26,18 +29,17 @@ from .congruence import (
     dual_atom_count,
     filter_candidate,
     is_prime_ideal,
+    jh_permutation,
     prime_ideal_congruence,
     principal_ideal,
     swing_ji_congruences,
 )
 from .construct import (
-    ForkEdit,
     ForkScript,
     GridSpec,
     RectangularProfile,
     build_fork,
-    check_fork_growth,
-    fork_edits,
+    fork_edit,
     grid,
     rectangular_profile,
 )
@@ -103,13 +105,18 @@ class EnumSpec:
 
 @dataclass(frozen=True)
 class FamilyEntry:
-    """One isomorphism class: representative, witness script, profile."""
+    """One isomorphism class: representative, witness script, profile.
+
+    ``perm`` is the Jordan–Hölder permutation predicted for the
+    representative, checked against the diagram when it is expanded.
+    """
 
     key: bytes
     diagram: PlanarDiagram
     script: ForkScript
     profile: RectangularProfile
     forks: int
+    perm: tuple[int, ...]
 
     def stats(self) -> dict:
         return {
@@ -145,49 +152,100 @@ class FamilyIndex:
         return self._entries.get(key)
 
 
-def _entry(key: bytes, diagram: PlanarDiagram, script: ForkScript, forks: int) -> FamilyEntry:
+def _entry(key: bytes, diagram: PlanarDiagram, script: ForkScript, forks: int, perm: tuple) -> FamilyEntry:
     try:
         profile = rectangular_profile(diagram)
     except NotRectangular as exc:
         raise ValidatorFailed(
             f"enumerated diagram from {script.to_obj()} is not rectangular: {exc}"
         ) from exc
-    return FamilyEntry(key, diagram, script, profile, forks)
+    return FamilyEntry(key, diagram, script, profile, forks, perm)
+
+
+def _fork_permutation(pi: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
+    """pi after a fork at the covering square whose lower edges lie on trajectories i and k.
+
+    The left lower edge lies on trajectory i, the right one on k. The
+    fork's staircases split the left chain edge of i and the right chain
+    edge of k, and the new trajectory runs through both upper halves: it
+    is trajectory i + 1, and its right position is pi(k) + 1.
+    """
+    j = pi[k - 1]
+    shifted = [v + (v > j) for v in pi]
+    return tuple(shifted[:i] + [j + 1] + shifted[i:])
+
+
+def _inversions(pi: tuple[int, ...]) -> int:
+    return sum(a > b for x, a in enumerate(pi) for b in pi[x + 1:])
+
+
+def _orbit_key(pi: tuple[int, ...]) -> tuple[int, ...]:
+    """min(pi, pi^-1): the mirror image of a diagram has the inverse permutation."""
+    inverse = [0] * len(pi)
+    for x, v in enumerate(pi, 1):
+        inverse[v - 1] = x
+    return min(pi, tuple(inverse))
 
 
 def _expand(entry: FamilyEntry, spec: EnumSpec, rng: Optional[random.Random]) -> list[tuple]:
-    """One work unit: the keyed cover-list edit of a fork at every covering square."""
-    cells = four_cells(entry.diagram)
+    """One work unit: the keyed permutation of a fork at every covering square.
+
+    Raises ValidatorFailed when the permutation read off the diagram is
+    not the one predicted for it.
+    """
+    d = entry.diagram
+    pi, trajectory = jh_permutation(d)
+    if pi != entry.perm:
+        raise ValidatorFailed(
+            f"{entry.script.to_obj()} has Jordan–Hölder permutation {pi}, not the predicted {entry.perm}"
+        )
+    cells = four_cells(d)
     if rng is not None:
         rng.shuffle(cells)
     out = []
-    for edit in fork_edits(entry.diagram, cells):
-        if len(edit.upper) > spec.max_elements:
+    for cell in cells:
+        i, k = trajectory[cell.o, cell.a_l], trajectory[cell.o, cell.a_r]
+        j = pi[k - 1]
+        # |L'| = h' + 1 + inv(pi'): the new trajectory crosses every old
+        # one that it separates on exactly one boundary chain
+        if d.n + 1 + sum((v > j) == (x < i) for x, v in enumerate(pi)) > spec.max_elements:
             continue
-        script = ForkScript(entry.script.grid, entry.script.steps + (edit.cell.o,))
-        out.append((planar_key(edit.upper, entry.diagram.bottom), script, edit))
+        perm = _fork_permutation(pi, i, k)
+        script = ForkScript(entry.script.grid, entry.script.steps + (cell.o,))
+        out.append((_orbit_key(perm), script, d, cell, perm))
     return out
 
 
-def _merge(entries: dict[bytes, FamilyEntry], wave: list[tuple], spec: EnumSpec, forks: int) -> list[FamilyEntry]:
-    """Add the first candidate of each new key, in (key, script) order.
+def _merge(
+    entries: dict[bytes, FamilyEntry], seen: set, wave: list[tuple], spec: EnumSpec, forks: int
+) -> list[FamilyEntry]:
+    """Add the first candidate of each new orbit key, in (orbit key, script) order.
 
-    A candidate is (key, script, source), the source being a grid or a
-    fork edit. An edit is built and validated only when it wins its key:
-    equal planar keys mean equal drawings, so validity is the winner's.
-    Every other edit checks its growth over its own parent against the
-    class representative.
+    A candidate is (orbit key, script, source, cell, perm): a grid with
+    no cell, or a fork at a cell of its parent diagram. ``seen`` holds
+    the orbit keys of every wave so far. Only a winner is edited, built,
+    validated and planar-keyed; the others make no edit. Raises
+    ValidatorFailed when a winner's size or length is not that of its
+    permutation, or when its drawing is already a class, that is, when
+    the orbit key splits a class.
     """
     added = []
-    for key, script, source in sorted(wave, key=lambda c: (c[0], c[1].sort_key())):
-        is_fork = isinstance(source, ForkEdit)
-        entry = entries.get(key)
-        if entry is not None:
-            if is_fork:
-                check_fork_growth(source, entry.diagram)
+    for okey, script, source, cell, perm in sorted(wave, key=lambda c: (c[0], c[1].sort_key())):
+        if okey in seen:
             continue
-        diagram = build_fork(source).diagram if is_fork else source
-        entries[key] = entry = _entry(key, diagram, script, forks)
+        seen.add(okey)
+        diagram = source if cell is None else build_fork(fork_edit(source, cell)).diagram
+        if diagram.n != len(perm) + 1 + _inversions(perm) or diagram.height(diagram.top) != len(perm):
+            raise ValidatorFailed(
+                f"{script.to_obj()} has {diagram.n} elements and length {diagram.height(diagram.top)},"
+                f" which do not fit its Jordan–Hölder permutation {perm}"
+            )
+        key = planar_key(diagram.upper, diagram.bottom)
+        if key in entries:
+            raise ValidatorFailed(
+                f"{script.to_obj()} draws the class of {entries[key].script.to_obj()} under another orbit key"
+            )
+        entries[key] = entry = _entry(key, diagram, script, forks, perm)
         added.append(entry)
         if len(entries) > spec.max_classes:
             raise BudgetExceeded(f"family exceeded {spec.max_classes} isomorphism classes")
@@ -202,13 +260,15 @@ def enumerate_family(spec: EnumSpec, shuffle_seed: Optional[int] = None) -> Fami
     """
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     entries: dict[bytes, FamilyEntry] = {}
+    seen: set[tuple[int, ...]] = set()
     seeds = []
     for p in range(2, min(spec.p_max, spec.max_elements // 2) + 1):
         for q in range(2, min(spec.q_max, spec.max_elements // p) + 1):
             g = grid(GridSpec(p, q))
-            seeds.append((planar_key(g.upper, g.bottom), ForkScript(GridSpec(p, q)), g))
+            pi, _ = jh_permutation(g)
+            seeds.append((_orbit_key(pi), ForkScript(GridSpec(p, q)), g, None, pi))
     candidates = len(seeds)
-    frontier = _merge(entries, seeds, spec, 0)
+    frontier = _merge(entries, seen, seeds, spec, 0)
     for forks in range(1, spec.max_forks + 1):
         units = list(frontier)
         if rng is not None:
@@ -217,7 +277,7 @@ def enumerate_family(spec: EnumSpec, shuffle_seed: Optional[int] = None) -> Fami
         for unit in units:
             wave.extend(_expand(unit, spec, rng))
         candidates += len(wave)
-        frontier = _merge(entries, wave, spec, forks)
+        frontier = _merge(entries, seen, wave, spec, forks)
         if not frontier:
             break
     return FamilyIndex(spec, entries, candidates)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import posets
-from .diagram import PlanarDiagram, canonical_key, find_m3, irreducibles
+from .diagram import PlanarDiagram, boundary_chains, canonical_key, find_m3, irreducibles
 from .errors import (
     NotAnIdeal,
     NotDistributive,
@@ -400,6 +400,32 @@ def _edge_classes(diagram: PlanarDiagram) -> dict[tuple[int, int], int]:
     return {
         edge: number.setdefault(_find(parent, i), len(number)) for i, edge in enumerate(edges)
     }
+
+
+def jh_permutation(diagram: PlanarDiagram) -> tuple[tuple[int, ...], dict[tuple[int, int], int]]:
+    """The Jordan–Hölder permutation pi of a slim semimodular diagram, and its trajectories.
+
+    The classes of :func:`_edge_classes` are the trajectories, and each
+    crosses either boundary chain in one edge (Czédli and Schmidt, "Slim
+    semimodular lattices. II. A description by permutations", Order,
+    2014). Trajectory i is the one through the i-th edge of the left
+    chain, counted from 1 at the bottom, and pi[i - 1] is the position of
+    its edge on the right chain. Returns pi and the trajectory number of
+    every covering edge. Raises ValidatorFailed when the classes do not
+    cross each boundary chain once.
+    """
+    classes = _edge_classes(diagram)
+    left, right = (
+        {classes[edge]: k for k, edge in enumerate(zip(chain, chain[1:]), 1)}
+        for chain in boundary_chains(diagram)
+    )
+    h = diagram.height(diagram.top)
+    if not len(left) == len(right) == max(classes.values(), default=-1) + 1 == h:
+        raise ValidatorFailed("the trajectories do not cross each boundary chain once")
+    pi = [0] * len(left)
+    for c, k in left.items():
+        pi[k - 1] = right[c]
+    return tuple(pi), {edge: left[c] for edge, c in classes.items()}
 
 
 def ji_congruences(diagram: PlanarDiagram) -> JiPoset:

@@ -15,7 +15,7 @@ lower list from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .diagram import (
     DIAGRAM_MAX_ELEMENTS,
@@ -229,37 +229,28 @@ def fork_edit(diagram: PlanarDiagram, cell: FourCell) -> ForkEdit:
     top-down. Raises NotACell, or ValidatorFailed when a staircase
     meets no covering square.
     """
-    return next(fork_edits(diagram, (cell,)))
-
-
-def fork_edits(diagram: PlanarDiagram, cells: Iterable[FourCell]) -> Iterator[ForkEdit]:
-    """The :func:`fork_edit` of each cell in turn, one boundary walk for all."""
+    defect = cell_defect(diagram, cell.o, cell.a_l, cell.a_r, cell.t)
+    if defect is not None:
+        raise NotACell(defect)
     lchain, rchain = boundary_chains(diagram)
-    ledges = set(zip(lchain, lchain[1:]))
-    redges = set(zip(rchain, rchain[1:]))
-    n0 = diagram.n
-    for cell in cells:
-        defect = cell_defect(diagram, cell.o, cell.a_l, cell.a_r, cell.t)
-        if defect is not None:
-            raise NotACell(defect)
-        lsteps = _staircase(diagram, cell.o, cell.a_l, "left", ledges)
-        rsteps = _staircase(diagram, cell.o, cell.a_r, "right", redges)
+    lsteps = _staircase(diagram, cell.o, cell.a_l, "left", set(zip(lchain, lchain[1:])))
+    rsteps = _staircase(diagram, cell.o, cell.a_r, "right", set(zip(rchain, rchain[1:])))
 
-        m = n0
-        lids = [n0 + 1 + k for k in range(len(lsteps))]
-        rids = [n0 + 1 + len(lsteps) + k for k in range(len(rsteps))]
-        added = 1 + len(lids) + len(rids)
-        upper = [list(row) for row in diagram.upper] + [[] for _ in range(added)]
-        upper[m] = [cell.t]
-        for k, (ok, wk) in enumerate(lsteps):
-            u = lids[k]
-            upper[ok][upper[ok].index(wk)] = u
-            upper[u] = [wk, m if k == 0 else lids[k - 1]]
-        for k, (ok, wk) in enumerate(rsteps):
-            v = rids[k]
-            upper[ok][upper[ok].index(wk)] = v
-            upper[v] = [m if k == 0 else rids[k - 1], wk]
-        yield ForkEdit(diagram, cell, upper, m, tuple(lids), tuple(rids))
+    m = diagram.n
+    lids = [m + 1 + k for k in range(len(lsteps))]
+    rids = [m + 1 + len(lsteps) + k for k in range(len(rsteps))]
+    added = 1 + len(lids) + len(rids)
+    upper = [list(row) for row in diagram.upper] + [[] for _ in range(added)]
+    upper[m] = [cell.t]
+    for k, (ok, wk) in enumerate(lsteps):
+        u = lids[k]
+        upper[ok][upper[ok].index(wk)] = u
+        upper[u] = [wk, m if k == 0 else lids[k - 1]]
+    for k, (ok, wk) in enumerate(rsteps):
+        v = rids[k]
+        upper[ok][upper[ok].index(wk)] = v
+        upper[v] = [m if k == 0 else rids[k - 1], wk]
+    return ForkEdit(diagram, cell, upper, m, tuple(lids), tuple(rids))
 
 
 def check_fork_growth(edit: ForkEdit, out: PlanarDiagram) -> None:

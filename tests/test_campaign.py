@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
@@ -15,12 +16,15 @@ from slimfork import (
     congruence_lattice,
     dual_atom_count,
     enumerate_family,
+    four_cells,
     grid,
+    insert_fork,
     is_graded,
     is_semimodular,
     is_slim,
     ji_poset_of,
     ji_width_at_most_two,
+    jh_permutation,
     planar_key,
     prime_ideal_congruence,
     principal_congruence,
@@ -29,8 +33,9 @@ from slimfork import (
     search_representation,
     verify_claims,
 )
+from slimfork import campaign as campaign_module
 from slimfork.campaign import NOTE_SINGLE_DUAL_ATOM
-from slimfork.errors import BudgetExceeded, NotDistributive, ValidationError
+from slimfork.errors import BudgetExceeded, NotDistributive, ValidationError, ValidatorFailed
 
 
 class TestEnumSpec:
@@ -125,6 +130,83 @@ class TestEnumerateFamily:
         assert base.keys() == shuffled.keys()
         assert [e.script for e in base.members()] == [e.script for e in shuffled.members()]
 
+    def test_acceptance_family_digest(self, campaign):
+        # sha256 over the members in key order, as at the commit before
+        # candidates were keyed by permutation
+        digest = hashlib.sha256()
+        for e in campaign[0].members():
+            digest.update(e.key + repr(e.script.to_obj()).encode())
+        assert digest.hexdigest() == "756d85b639e12ddcfdaa7871eb64f214946b1c4f7445aeb3e3a3fa84ce483344"
+
+
+class TestJordanHolderPermutation:
+    @pytest.mark.parametrize("p", range(2, 7))
+    @pytest.mark.parametrize("q", range(2, 7))
+    def test_grid(self, p, q):
+        pi, _ = jh_permutation(grid(GridSpec(p, q)))
+        assert pi == tuple(range(q, q + p - 1)) + tuple(range(1, q))
+
+    def test_refuses_a_diamond(self):
+        # the three atom edges of M3 lie in one class, so no trajectory
+        # crosses both boundary chains once
+        with pytest.raises(ValidatorFailed, match="boundary chain"):
+            jh_permutation(helpers.m3())
+
+    def test_every_class_has_its_predicted_permutation_and_size(self, acceptance_family):
+        for e in acceptance_family.members():
+            pi, _ = jh_permutation(e.diagram)
+            assert pi == e.perm
+            assert e.diagram.n == len(pi) + 1 + campaign_module._inversions(pi)
+
+    def test_insertion_rule_on_acceptance_forks(self, acceptance_family):
+        spec = acceptance_family.spec
+        forks = 0
+        for e in acceptance_family.members():
+            if e.forks == spec.max_forks:
+                continue
+            pi, trajectory = jh_permutation(e.diagram)
+            for cell in four_cells(e.diagram):
+                child = insert_fork(e.diagram, cell).diagram
+                if child.n > spec.max_elements:
+                    continue
+                forks += 1
+                i, k = trajectory[cell.o, cell.a_l], trajectory[cell.o, cell.a_r]
+                assert jh_permutation(child)[0] == campaign_module._fork_permutation(pi, i, k)
+        assert forks == 1728
+
+    def test_winner_must_fit_its_permutation(self, monkeypatch):
+        real = campaign_module._fork_permutation
+
+        def swapped(pi, i, k):
+            # one inversion more or fewer than the fork has
+            perm = real(pi, i, k)
+            return (perm[1], perm[0]) + perm[2:]
+
+        monkeypatch.setattr(campaign_module, "_fork_permutation", swapped)
+        with pytest.raises(ValidatorFailed, match="do not fit its Jordan–Hölder permutation"):
+            enumerate_family(EnumSpec(3, 3, 1))
+
+    def test_expanded_class_must_have_its_predicted_permutation(self, monkeypatch):
+        # the inverse has the size, the length and the orbit key of the
+        # true permutation, so only the read-off check catches it
+        real = campaign_module._fork_permutation
+
+        def inverted(pi, i, k):
+            perm = real(pi, i, k)
+            return tuple(sorted(range(1, len(perm) + 1), key=lambda x: perm[x - 1]))
+
+        monkeypatch.setattr(campaign_module, "_fork_permutation", inverted)
+        enumerate_family(EnumSpec(3, 3, 1))
+        with pytest.raises(ValidatorFailed, match="not the predicted"):
+            enumerate_family(EnumSpec(3, 3, 2))
+
+    def test_orbit_key_may_not_split_a_class(self, monkeypatch):
+        # keyed by pi alone, the 2x3 grid and its mirror image, the 3x2 grid,
+        # both win
+        monkeypatch.setattr(campaign_module, "_orbit_key", lambda pi: pi)
+        with pytest.raises(ValidatorFailed, match="under another orbit key"):
+            enumerate_family(EnumSpec(3, 3, 0))
+
 
 class TestAgainstGenericKeyEnumeration:
     """Planar keys before validation give the family of the old path.
@@ -152,6 +234,16 @@ class TestAgainstGenericKeyEnumeration:
             return {frozenset(group) for group in groups.values()}
 
         assert partition(lambda d: planar_key(d.upper, d.bottom)) == partition(canonical_key)
+
+    def test_orbit_and_planar_keys_partition_alike(self, oracle):
+        candidates, _ = oracle
+        groups: dict = {}
+        for _, d in candidates:
+            groups.setdefault(campaign_module._orbit_key(jh_permutation(d)[0]), set()).add(
+                planar_key(d.upper, d.bottom)
+            )
+        assert all(len(keys) == 1 for keys in groups.values())
+        assert len(groups) == len({planar_key(d.upper, d.bottom) for _, d in candidates})
 
     def test_family_equals_oracle(self, oracle, campaign):
         _, classes = oracle

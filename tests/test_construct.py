@@ -10,14 +10,12 @@ import helpers
 from slimfork import (
     ForkEdit,
     ForkScript,
-    FourCell,
     GridSpec,
     boundary_chains,
     build_fork,
     canonical_key,
     check_fork_growth,
     fork_edit,
-    fork_edits,
     four_cells,
     grid,
     insert_fork,
@@ -135,23 +133,6 @@ class TestInsertFork:
         built, direct = build_fork(edit), insert_fork(g33, cell)
         assert (built.diagram.upper, built.diagram.lower) == (direct.diagram.upper, direct.diagram.lower)
         assert (built.m, built.left_leg, built.right_leg) == (direct.m, direct.left_leg, direct.right_leg)
-
-    def test_fork_edits_match_fork_edit(self, g33, s7):
-        for d in (g33, s7, helpers.fork_at(s7, 5).diagram):
-            cells = four_cells(d)
-            got = [(e.cell, e.upper, e.m, e.left_leg, e.right_leg) for e in fork_edits(d, cells)]
-            want = [
-                (e.cell, e.upper, e.m, e.left_leg, e.right_leg)
-                for e in (fork_edit(d, cell) for cell in cells)
-            ]
-            assert got == want
-
-    def test_fork_edits_refuse_a_non_cell(self, g33):
-        good = four_cells(g33)[0]
-        edits = fork_edits(g33, [good, FourCell(0, 1, 3, 4)])
-        assert next(edits).cell == good
-        with pytest.raises(NotACell):
-            next(edits)
 
     def test_growth_check(self, g33):
         edit = fork_edit(g33, four_cells(g33)[0])

@@ -17,7 +17,7 @@ from slimfork import (
     boundary_chains,
     build_diagram,
     canonical_key,
-    fork_edits,
+    fork_edit,
     four_cells,
     grid,
     is_graded,
@@ -438,7 +438,8 @@ class TestPlanarKey:
         ]
         for entry in acceptance_family.members():
             if entry.forks < spec.max_forks:
-                for edit in fork_edits(entry.diagram, four_cells(entry.diagram)):
+                for cell in four_cells(entry.diagram):
+                    edit = fork_edit(entry.diagram, cell)
                     if len(edit.upper) <= spec.max_elements:
                         candidates.append(edit.upper)
         assert len(candidates) == acceptance_family.candidates == 1737
