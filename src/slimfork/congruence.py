@@ -172,8 +172,8 @@ def is_congruence(diagram: PlanarDiagram, part: Partition) -> bool:
     equivalence compatible with every x v j and x ^ m is compatible with
     every join and meet.
     """
-    t = diagram.tables
-    up, down, up_index, down_index = t.up, t.down, t.up_index, t.down_index
+    up, down = diagram.tables.up, diagram.tables.down
+    up_index, down_index = diagram.up_index, diagram.down_index
     ji, mi = irreducibles(diagram)
     ji_up = [up[j] for j in ji]
     mi_down = [down[m] for m in mi]
@@ -198,8 +198,8 @@ def principal_congruence(diagram: PlanarDiagram, a: int, b: int) -> Partition:
     join and meet; each merge costs |J(L)| + |M(L)| mask lookups.
     """
     n = diagram.n
-    t = diagram.tables
-    up, down, up_index, down_index = t.up, t.down, t.up_index, t.down_index
+    up, down = diagram.tables.up, diagram.tables.down
+    up_index, down_index = diagram.up_index, diagram.down_index
     ji, mi = irreducibles(diagram)
     ji_up = [up[j] for j in ji]
     mi_down = [down[m] for m in mi]
@@ -388,12 +388,12 @@ def _edge_classes(diagram: PlanarDiagram) -> dict[tuple[int, int], int]:
     edge_id = {edge: i for i, edge in enumerate(edges)}
     parent = list(range(len(edges)))
     size = [1] * len(edges)
-    cov = diagram.cover_mask
-    for o, ups in enumerate(diagram.upper):
+    upper = diagram.upper
+    for o, ups in enumerate(upper):
         for k, a in enumerate(ups):
             for b in ups[k + 1:]:
                 t = diagram.join(a, b)
-                if (cov[a] >> t) & 1 and (cov[b] >> t) & 1:
+                if t in upper[a] and t in upper[b]:
                     _union(parent, size, edge_id[o, a], edge_id[b, t])
                     _union(parent, size, edge_id[o, b], edge_id[a, t])
     number: dict[int, int] = {}
@@ -707,7 +707,7 @@ def _ideal_mask(diagram: PlanarDiagram, ideal) -> int:
     for x in members:
         if t.down[x] & ~mask:
             raise NotAnIdeal(f"subset is not down-closed below element {x}")
-    if mask and mask not in t.down_index:
+    if mask and mask not in diagram.down_index:
         x, y = [x for x in sorted(members) if t.up[x] & mask == 1 << x][:2]
         raise NotAnIdeal(f"subset is not join-closed at {x} v {y}")
     return mask
@@ -726,7 +726,7 @@ def is_prime_ideal(diagram: PlanarDiagram, ideal) -> bool:
     full = (1 << diagram.n) - 1
     if mask in (0, full):
         return False
-    return full & ~mask in diagram.tables.up_index
+    return full & ~mask in diagram.up_index
 
 
 def prime_ideal_congruence(diagram: PlanarDiagram, ideal) -> Partition:

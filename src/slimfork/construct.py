@@ -175,7 +175,8 @@ def rectangular_profile(diagram: PlanarDiagram) -> RectangularProfile:
     c_r = doubly_irreducible(right, "right")
     if c_l == c_r:
         raise NotRectangular(f"both boundary candidates are element {c_l}")
-    if diagram.meet(c_l, c_r) != diagram.bottom or diagram.join(c_l, c_r) != diagram.top:
+    up, down = diagram.tables.up, diagram.tables.down
+    if down[c_l] & down[c_r] != down[diagram.bottom] or up[c_l] & up[c_r] != up[diagram.top]:
         raise NotRectangular(f"elements {c_l} and {c_r} are not complementary")
     return RectangularProfile(c_l, c_r)
 

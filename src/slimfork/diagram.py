@@ -3,8 +3,10 @@
 A diagram stores, for every element, the list of its upper covers and
 the list of its lower covers, both ordered left to right as in a plane
 drawing. Reachability masks and heights are computed once at
-construction; all structure is read-only afterwards, so diagrams can be
-shared freely between concurrent computations.
+construction; the dicts that map masks back to elements are built on
+first use, once, and equal rows are one shared tuple across diagrams.
+All of it is read-only once built, so diagrams can be shared freely
+between concurrent computations.
 
 Only the upper lists are given; lower lists are always derived. Elements
 are ranked by a leftmost-first traversal from the bottom and each
@@ -16,10 +18,11 @@ The up masks come from one pass over the covers in reverse topological
 order, and the down masks from one pass over the lower covers in
 topological order. The masks are the only tables of the order: the meet
 of x and y is the element whose down mask is down[x] & down[y], and the
-join the element whose up mask is up[x] & up[y], each found by one dict
-lookup. Diagrams are capped at DIAGRAM_MAX_ELEMENTS elements, because
-the lattice check at construction tests n·|J(L)| joins, which is still
-quadratic in the size on a chain.
+join the element whose up mask is up[x] & up[y], each found by one
+lookup in a dict built on first use. Diagrams are capped at
+DIAGRAM_MAX_ELEMENTS elements, because the lattice check at
+construction tests n·|J(L)| joins, which is still quadratic in the
+size on a chain.
 """
 
 from __future__ import annotations
@@ -41,22 +44,24 @@ from .errors import (
 # the size on a chain.
 DIAGRAM_MAX_ELEMENTS = 2_048
 
+# Interned cover rows, each its own key (see build_diagram).
+_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+
 
 @dataclass(frozen=True)
 class OrderTables:
-    """Reachability masks, their inverse indexes and heights for one diagram.
+    """Reachability masks and heights for one diagram.
 
     Bit j of ``up[i]`` is set iff i <= j, and bit j of ``down[i]`` iff
-    j <= i. ``up_index`` and ``down_index`` map each mask back to its
-    element. The masks are the only tables of the order: the meet of x
-    and y is ``down_index[down[x] & down[y]]`` and their join is
-    ``up_index[up[x] & up[y]]``.
+    j <= i. The masks are the only tables of the order: the meet of x
+    and y is the element whose down mask is ``down[x] & down[y]``, and
+    their join the element whose up mask is ``up[x] & up[y]``, found
+    through :attr:`PlanarDiagram.down_index` and
+    :attr:`PlanarDiagram.up_index`.
     """
 
     up: tuple[int, ...]
     down: tuple[int, ...]
-    up_index: dict[int, int]
-    down_index: dict[int, int]
     height: tuple[int, ...]
 
 
@@ -74,12 +79,15 @@ class PlanarDiagram:
     """A finite bounded poset with ordered cover lists.
 
     Construct through :func:`build_diagram`; instances are immutable by
-    convention and hash/compare by identity.
+    convention and hash/compare by identity. Cover rows are shared
+    between diagrams. ``up_index`` and ``down_index`` map each mask back
+    to its element; each is built on first use, and a second build gives
+    an equal dict, so diagrams still share safely.
     """
 
     __slots__ = (
         "n", "upper", "lower", "labels", "name",
-        "tables", "bottom", "top", "left_rank", "cover_mask", "_key",
+        "tables", "bottom", "top", "left_rank", "_up_index", "_down_index", "_key",
     )
 
     def __init__(self, upper, lower, labels, name, tables, bottom, top, left_rank):
@@ -92,19 +100,32 @@ class PlanarDiagram:
         self.bottom = bottom
         self.top = top
         self.left_rank = left_rank
-        self.cover_mask = tuple(_mask(row) for row in upper)
+        self._up_index = None
+        self._down_index = None
         self._key = None
+
+    @property
+    def up_index(self) -> dict[int, int]:
+        if self._up_index is None:
+            self._up_index = {m: i for i, m in enumerate(self.tables.up)}
+        return self._up_index
+
+    @property
+    def down_index(self) -> dict[int, int]:
+        if self._down_index is None:
+            self._down_index = {m: i for i, m in enumerate(self.tables.down)}
+        return self._down_index
 
     def leq(self, x: int, y: int) -> bool:
         return (self.tables.up[x] >> y) & 1 == 1
 
     def meet(self, x: int, y: int) -> int:
-        t = self.tables
-        return t.down_index[t.down[x] & t.down[y]]
+        down = self.tables.down
+        return self.down_index[down[x] & down[y]]
 
     def join(self, x: int, y: int) -> int:
-        t = self.tables
-        return t.up_index[t.up[x] & t.up[y]]
+        up = self.tables.up
+        return self.up_index[up[x] & up[y]]
 
     def height(self, x: int) -> int:
         return self.tables.height[x]
@@ -159,6 +180,9 @@ def build_diagram(
     A finite join-semilattice with a least element is a lattice, so
     meets need no test, and a pair without a join is always reported
     as such.
+
+    Equal cover rows are one tuple, interned in a module table that
+    holds at most the distinct rows built in the process.
     """
     n = len(upper)
     if n == 0:
@@ -205,27 +229,21 @@ def build_diagram(
 
     lows = [sorted(pre, key=left_rank.__getitem__) for pre in preds]
 
-    down_index = {down_mask[i]: i for i in range(n)}
-    up_index = {up_mask[i]: i for i in range(n)}
+    up_set = set(up_mask)
     ji = [j for j, pre in enumerate(preds) if len(pre) == 1]
     for x, ux in enumerate(up_mask):
         for j in ji:
-            if ux & up_mask[j] not in up_index:
+            if ux & up_mask[j] not in up_set:
                 raise NotALattice(f"elements {x} and {j} have no join")
 
-    tables = OrderTables(
-        up=tuple(up_mask),
-        down=tuple(down_mask),
-        up_index=up_index,
-        down_index=down_index,
-        height=tuple(height),
-    )
+    tables = OrderTables(up=tuple(up_mask), down=tuple(down_mask), height=tuple(height))
     lab = None if labels is None else tuple(labels)
     if lab is not None and len(lab) != n:
         raise ValidationError(f"{len(lab)} labels for {n} elements")
+    share = _rows.setdefault
     return PlanarDiagram(
-        tuple(tuple(r) for r in ups),
-        tuple(tuple(r) for r in lows),
+        tuple([share(r, r) for r in map(tuple, ups)]),
+        tuple([share(r, r) for r in map(tuple, lows)]),
         lab,
         name,
         tables,
@@ -268,17 +286,16 @@ def is_semimodular(diagram: PlanarDiagram) -> bool:
 
     In a finite lattice this condition is equivalent to upper
     semimodularity, x ^ y -< x implying y -< x v y (Stern, "Semimodular
-    Lattices", 1999), so checking it for every pair of upper covers
-    decides semimodularity in O(edges) mask lookups.
+    Lattices", 1999). A common upper cover t of a != b is their join:
+    a < a v b <= t and t covers a. So the condition reads "every two
+    upper covers of an element share an upper cover", tested on the
+    cover rows alone in O(edges) set operations.
     """
-    up, up_index = diagram.tables.up, diagram.tables.up_index
-    cov = diagram.cover_mask
-    for ups in diagram.upper:
+    upper = diagram.upper
+    for ups in upper:
         for k, a in enumerate(ups):
-            ua, ca = up[a], cov[a]
             for b in ups[k + 1:]:
-                t = up_index[ua & up[b]]
-                if not (ca >> t) & 1 or not (cov[b] >> t) & 1:
+                if set(upper[a]).isdisjoint(upper[b]):
                     return False
     return True
 
@@ -367,8 +384,7 @@ def cell_defect(diagram: PlanarDiagram, o: int, a_l: int, a_r: int, t: int) -> O
         return f"meet of {a_l} and {a_r} is not {o}"
     if diagram.join(a_l, a_r) != t:
         return f"join of {a_l} and {a_r} is not {t}"
-    cov = diagram.cover_mask
-    if not (cov[a_l] >> t) & 1 or not (cov[a_r] >> t) & 1:
+    if t not in diagram.upper[a_l] or t not in diagram.upper[a_r]:
         return f"{t} does not cover both {a_l} and {a_r}"
     low = diagram.lower[t]
     pos = low.index(a_l)

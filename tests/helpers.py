@@ -207,7 +207,7 @@ def all_pairs_semimodular(diagram: PlanarDiagram) -> bool:
     """Oracle for ``is_semimodular``: whenever x meet y is covered by x, the join covers y."""
     n = diagram.n
     meet, join = diagram.meet, diagram.join
-    cov = diagram.cover_mask
+    cov = [sum(1 << t for t in row) for row in diagram.upper]
     for x in range(n):
         for y in range(n):
             m = meet(x, y)

@@ -12,6 +12,7 @@ from slimfork import (
     ForkScript,
     GridSpec,
     boundary_chains,
+    build_diagram,
     build_fork,
     canonical_key,
     check_fork_growth,
@@ -78,6 +79,19 @@ class TestRectangularProfile:
     def test_s7_profile(self, s7):
         profile = rectangular_profile(s7)
         assert (profile.c_l, profile.c_r) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "upper",
+        [
+            # a square with a one-element tail on top: 1 v 2 = 3, not the top
+            [[1, 2], [3], [3], [4], []],
+            # a square on a one-element tail: 2 ^ 3 = 1, not the bottom
+            [[1], [2, 3], [4], [4], []],
+        ],
+    )
+    def test_not_complementary(self, upper):
+        with pytest.raises(NotRectangular, match="not complementary"):
+            rectangular_profile(build_diagram(upper))
 
     def test_complementarity(self):
         for p, q in [(2, 2), (3, 4)]:

@@ -220,6 +220,34 @@ class TestTables:
                 assert s7.meet(x, y) == best
 
 
+class TestSharedRowsAndLazyIndexes:
+    def test_equal_rows_are_one_object(self, acceptance_family):
+        diagrams = [e.diagram for e in acceptance_family.members()]
+        for rows in (
+            [row for d in diagrams for row in d.upper],
+            [row for d in diagrams for row in d.lower],
+        ):
+            assert len({id(row) for row in rows}) == len(set(rows))
+
+    def test_fresh_fork_has_no_index(self, g33):
+        d = insert_fork(g33, four_cells(g33)[2]).diagram
+        assert d._up_index is None and d._down_index is None
+        d.join(d.bottom, d.top)
+        assert d._up_index is not None and d._down_index is None
+        d.meet(d.bottom, d.top)
+        assert d._down_index is not None
+
+    @pytest.mark.parametrize("first", ["meet", "join"])
+    @pytest.mark.parametrize("diagram", helpers.lattice_corpus(), ids=lambda d: d.name)
+    def test_indexes_invert_the_masks(self, diagram, first):
+        d = build_diagram(diagram.upper)
+        getattr(d, first)(d.bottom, d.top)
+        up_index, down_index = d.up_index, d.down_index
+        assert up_index == {m: i for i, m in enumerate(d.tables.up)}
+        assert down_index == {m: i for i, m in enumerate(d.tables.down)}
+        assert d.up_index is up_index and d.down_index is down_index
+
+
 class TestValidators:
     def test_semimodular(self, g33, n5, s7):
         assert is_semimodular(g33)
@@ -238,6 +266,24 @@ class TestValidators:
     def test_birkhoff_matches_all_pairs_oracle(self, diagram):
         for d in (diagram, helpers.mirror(diagram)):
             assert is_semimodular(d) == helpers.all_pairs_semimodular(d)
+
+    def test_birkhoff_matches_all_pairs_oracle_on_seeded_sample(self):
+        rng = random.Random(19_001)
+        verdicts = []
+        for _ in range(3_000):
+            n = rng.randint(3, 10)
+            density = rng.random()
+            related = [
+                p for p in itertools.combinations(range(1, n - 1), 2) if rng.random() < density
+            ]
+            try:
+                d = build_diagram(helpers.bounded_poset(n, related))
+            except NotALattice:
+                continue
+            verdict = helpers.all_pairs_semimodular(d)
+            assert is_semimodular(d) == verdict, d.upper
+            verdicts.append(verdict)
+        assert verdicts.count(True) >= 1_500 and verdicts.count(False) >= 900
 
     def test_known_cases_of_the_local_tests(self, m3, n5):
         b3 = helpers.boolean_cube()
