@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .diagram import (
     DIAGRAM_MAX_ELEMENTS,
     FourCell,
-    OrderTables,
     PlanarDiagram,
     boundary_chains,
     build_diagram,
@@ -28,7 +27,6 @@ from .construct import (
     RectangularProfile,
     build_fork,
     cell_at,
-    check_fork_growth,
     fork_edit,
     grid,
     insert_fork,
@@ -39,15 +37,10 @@ from .congruence import (
     CandidateProfile,
     CongruenceLattice,
     JiPoset,
-    P2_EXEMPT,
-    P2_FAILS,
-    P2_HOLDS,
     Partition,
     PrincipalIdeal,
     all_congruences_oracle,
     at_most_two_covers,
-    check_p1,
-    check_p2,
     congruence_lattice,
     dual_atom_count,
     filter_candidate,

@@ -327,9 +327,10 @@ def verify_claims(family: FamilyIndex) -> ClaimReport:
     p2: more than two elements implies at least two dual atoms in the
     congruence lattice. p1: every join-irreducible congruence has at
     most two covers among join-irreducible congruences. prime_ideals:
-    when neither boundary element is the top, the two boundary ideals
-    are distinct prime ideals whose congruences are two distinct dual
-    atoms. not_c3: no congruence lattice is the three-element chain.
+    the two boundary ideals are distinct prime ideals whose congruences
+    are two distinct dual atoms (:func:`rectangular_profile` never picks
+    the bottom or the top as a boundary element). not_c3: no congruence
+    lattice is the three-element chain.
     Every verdict is read from J(Con L), which the Swing Lemma engine
     gives without a closure, since every member is slim, planar and
     semimodular; the full congruence lattice is never built. Failures
@@ -361,10 +362,8 @@ def verify_claims(family: FamilyIndex) -> ClaimReport:
 
         record(CLAIM_P1, at_most_two_covers(ji.up), entry, "a join-irreducible congruence has more than two covers")
 
-        profile = entry.profile
-        if profile.c_l != lattice.top and profile.c_r != lattice.top:
-            ok, detail = _prime_ideal_claim(lattice, profile, ji)
-            record(CLAIM_PRIME_IDEALS, ok, entry, detail)
+        ok, detail = _prime_ideal_claim(lattice, entry.profile, ji)
+        record(CLAIM_PRIME_IDEALS, ok, entry, detail)
 
         # J is a two-element chain exactly when Con L is the three-element chain
         record(
@@ -460,7 +459,7 @@ def con_matcher(target: PlanarDiagram) -> Callable[[PlanarDiagram], bool]:
     all slim, planar and semimodular, so J comes from the Swing Lemma
     engine.
     """
-    _, target_up = posets.join_irreducible_order(target.tables.up)
+    _, target_up = posets.join_irreducible_order(target.up)
     target_key = None
 
     def matches(diagram: PlanarDiagram) -> bool:

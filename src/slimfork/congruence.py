@@ -48,10 +48,6 @@ from .errors import (
 ORACLE_MAX_ELEMENTS = 8
 CON_MAX_MEMBERS = 65_536
 
-P2_HOLDS = "holds"
-P2_EXEMPT = "exempt"
-P2_FAILS = "fails"
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -172,7 +168,7 @@ def is_congruence(diagram: PlanarDiagram, part: Partition) -> bool:
     equivalence compatible with every x v j and x ^ m is compatible with
     every join and meet.
     """
-    up, down = diagram.tables.up, diagram.tables.down
+    up, down = diagram.up, diagram.down
     up_index, down_index = diagram.up_index, diagram.down_index
     ji, mi = irreducibles(diagram)
     ji_up = [up[j] for j in ji]
@@ -198,7 +194,7 @@ def principal_congruence(diagram: PlanarDiagram, a: int, b: int) -> Partition:
     join and meet; each merge costs |J(L)| + |M(L)| mask lookups.
     """
     n = diagram.n
-    up, down = diagram.tables.up, diagram.tables.down
+    up, down = diagram.up, diagram.down
     up_index, down_index = diagram.up_index, diagram.down_index
     ji, mi = irreducibles(diagram)
     ji_up = [up[j] for j in ji]
@@ -657,28 +653,7 @@ def dual_atom_count(ji_up: Sequence[int]) -> int:
 
 def at_most_two_covers(up: Sequence[int]) -> bool:
     """Whether every element of the poset has at most two upper covers."""
-    return posets.max_upper_covers(up) <= 2
-
-
-def check_p1(diagram: PlanarDiagram, ji: JiPoset | None = None) -> bool:
-    """Every join-irreducible congruence has at most two covers among
-    the join-irreducible congruences."""
-    if ji is None:
-        ji = ji_congruences(diagram)
-    return at_most_two_covers(ji.up)
-
-
-def check_p2(diagram: PlanarDiagram, ji: JiPoset | None = None) -> str:
-    """At least two dual atoms in the congruence lattice.
-
-    Diagrams with at most two elements are exempt; otherwise returns
-    "holds" or "fails".
-    """
-    if diagram.n <= 2:
-        return P2_EXEMPT
-    if ji is None:
-        ji = ji_congruences(diagram)
-    return P2_HOLDS if dual_atom_count(ji.up) >= 2 else P2_FAILS
+    return all(len(c) <= 2 for c in posets.cover_lists_from_up(up))
 
 
 @dataclass(frozen=True)
@@ -691,7 +666,7 @@ class PrincipalIdeal:
 
 def principal_ideal(diagram: PlanarDiagram, x: int) -> PrincipalIdeal:
     """All elements below x, ascending."""
-    return PrincipalIdeal(x, tuple(posets.bit_indices(diagram.tables.down[x])))
+    return PrincipalIdeal(x, tuple(posets.bit_indices(diagram.down[x])))
 
 
 def _ideal_mask(diagram: PlanarDiagram, ideal) -> int:
@@ -702,13 +677,12 @@ def _ideal_mask(diagram: PlanarDiagram, ideal) -> int:
     masks. Otherwise it has two maximal members, whose join lies outside.
     """
     members = frozenset(ideal.members if isinstance(ideal, PrincipalIdeal) else ideal)
-    t = diagram.tables
     mask = sum(1 << x for x in members)
     for x in members:
-        if t.down[x] & ~mask:
+        if diagram.down[x] & ~mask:
             raise NotAnIdeal(f"subset is not down-closed below element {x}")
     if mask and mask not in diagram.down_index:
-        x, y = [x for x in sorted(members) if t.up[x] & mask == 1 << x][:2]
+        x, y = [x for x in sorted(members) if diagram.up[x] & mask == 1 << x][:2]
         raise NotAnIdeal(f"subset is not join-closed at {x} v {y}")
     return mask
 
@@ -775,7 +749,7 @@ def filter_candidate(candidate: PlanarDiagram) -> CandidateProfile:
     """
     if candidate.n <= 2:
         raise TooSmall(f"candidate must have more than 2 elements, got {candidate.n}")
-    _, ji_up = posets.join_irreducible_order(candidate.tables.up)
+    _, ji_up = posets.join_irreducible_order(candidate.up)
     try:
         posets.ideal_masks([m & ~(1 << i) for i, m in enumerate(ji_up)], limit=candidate.n)
     except TooLarge:

@@ -6,10 +6,9 @@ the left boundary chain and, mirror-symmetrically, down-right to the
 right boundary chain. Insertion is two steps: the cover-list edit
 (:func:`fork_edit`), then the build with mandatory structural
 validation (:func:`build_fork`); a fork that breaks slimness,
-semimodularity, gradedness or the expected size and height
-bookkeeping raises ValidatorFailed. Grids and forks are written as
-ordered upper-cover lists only; :func:`build_diagram` derives every
-lower list from them.
+semimodularity, gradedness or the one-level height increase raises
+ValidatorFailed. Grids and forks are written as ordered upper-cover
+lists only; :func:`build_diagram` derives every lower list from them.
 """
 
 from __future__ import annotations
@@ -175,7 +174,7 @@ def rectangular_profile(diagram: PlanarDiagram) -> RectangularProfile:
     c_r = doubly_irreducible(right, "right")
     if c_l == c_r:
         raise NotRectangular(f"both boundary candidates are element {c_l}")
-    up, down = diagram.tables.up, diagram.tables.down
+    up, down = diagram.up, diagram.down
     if down[c_l] & down[c_r] != down[diagram.bottom] or up[c_l] & up[c_r] != up[diagram.top]:
         raise NotRectangular(f"elements {c_l} and {c_r} are not complementary")
     return RectangularProfile(c_l, c_r)
@@ -254,21 +253,10 @@ def fork_edit(diagram: PlanarDiagram, cell: FourCell) -> ForkEdit:
     return ForkEdit(diagram, cell, upper, m, tuple(lids), tuple(rids))
 
 
-def check_fork_growth(edit: ForkEdit, out: PlanarDiagram) -> None:
-    """Raise ValidatorFailed unless ``out`` has the edit's size and one more level.
-
-    ``out`` is the built edit or any diagram isomorphic to it.
-    """
-    if out.n != len(edit.upper):
-        raise ValidatorFailed(f"fork at {edit.cell}: expected {len(edit.upper)} elements, got {out.n}")
-    if out.height(out.top) != edit.parent.height(edit.parent.top) + 1:
-        raise ValidatorFailed(f"fork at {edit.cell}: height did not increase by exactly 1")
-
-
 def build_fork(edit: ForkEdit) -> ForkResult:
     """Build an edit's diagram and validate it in full.
 
-    The result must be a lattice with the expected size and height,
+    The result must be a lattice one level taller than the parent,
     graded, semimodular and slim; otherwise ValidatorFailed is raised.
     Both structural tests are local: semimodularity is Birkhoff's
     covering condition (:func:`is_semimodular`), and slimness, tested
@@ -287,7 +275,8 @@ def build_fork(edit: ForkEdit) -> ForkResult:
     except LatticeError as exc:
         raise ValidatorFailed(f"fork at {cell} produced an invalid diagram: {exc}") from exc
 
-    check_fork_growth(edit, out)
+    if out.height(out.top) != parent.height(parent.top) + 1:
+        raise ValidatorFailed(f"fork at {cell}: height did not increase by exactly 1")
     if not is_graded(out):
         raise ValidatorFailed(f"fork at {cell}: result is not graded")
     if not is_semimodular(out):

@@ -1,4 +1,4 @@
-"""Immutable planar Hasse diagrams with cached order tables.
+"""Immutable planar Hasse diagrams with their reachability masks.
 
 A diagram stores, for every element, the list of its upper covers and
 the list of its lower covers, both ordered left to right as in a plane
@@ -49,23 +49,6 @@ _rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 @dataclass(frozen=True)
-class OrderTables:
-    """Reachability masks and heights for one diagram.
-
-    Bit j of ``up[i]`` is set iff i <= j, and bit j of ``down[i]`` iff
-    j <= i. The masks are the only tables of the order: the meet of x
-    and y is the element whose down mask is ``down[x] & down[y]``, and
-    their join the element whose up mask is ``up[x] & up[y]``, found
-    through :attr:`PlanarDiagram.down_index` and
-    :attr:`PlanarDiagram.up_index`.
-    """
-
-    up: tuple[int, ...]
-    down: tuple[int, ...]
-    height: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FourCell:
     """A covering square o -< a_l, a_r -< t with nothing inside."""
 
@@ -80,26 +63,33 @@ class PlanarDiagram:
 
     Construct through :func:`build_diagram`; instances are immutable by
     convention and hash/compare by identity. Cover rows are shared
-    between diagrams. ``up_index`` and ``down_index`` map each mask back
-    to its element; each is built on first use, and a second build gives
-    an equal dict, so diagrams still share safely.
+    between diagrams.
+
+    Bit j of ``up[i]`` is set iff i <= j, and bit j of ``down[i]`` iff
+    j <= i; ``heights[i]`` is the length of the longest chain from the
+    bottom up to i. The meet of x and y is the element whose down mask
+    is ``down[x] & down[y]``, and their join the element whose up mask
+    is ``up[x] & up[y]``; ``down_index`` and ``up_index`` map each mask
+    back to its element. Each index is built on first use, and a second
+    build gives an equal dict, so diagrams still share safely.
     """
 
     __slots__ = (
-        "n", "upper", "lower", "labels", "name",
-        "tables", "bottom", "top", "left_rank", "_up_index", "_down_index", "_key",
+        "n", "upper", "lower", "labels", "name", "up", "down", "heights",
+        "bottom", "top", "_up_index", "_down_index", "_key",
     )
 
-    def __init__(self, upper, lower, labels, name, tables, bottom, top, left_rank):
+    def __init__(self, upper, lower, labels, name, up, down, heights, bottom, top):
         self.n = len(upper)
         self.upper = upper
         self.lower = lower
         self.labels = labels
         self.name = name
-        self.tables = tables
+        self.up = up
+        self.down = down
+        self.heights = heights
         self.bottom = bottom
         self.top = top
-        self.left_rank = left_rank
         self._up_index = None
         self._down_index = None
         self._key = None
@@ -107,28 +97,28 @@ class PlanarDiagram:
     @property
     def up_index(self) -> dict[int, int]:
         if self._up_index is None:
-            self._up_index = {m: i for i, m in enumerate(self.tables.up)}
+            self._up_index = {m: i for i, m in enumerate(self.up)}
         return self._up_index
 
     @property
     def down_index(self) -> dict[int, int]:
         if self._down_index is None:
-            self._down_index = {m: i for i, m in enumerate(self.tables.down)}
+            self._down_index = {m: i for i, m in enumerate(self.down)}
         return self._down_index
 
     def leq(self, x: int, y: int) -> bool:
-        return (self.tables.up[x] >> y) & 1 == 1
+        return (self.up[x] >> y) & 1 == 1
 
     def meet(self, x: int, y: int) -> int:
-        down = self.tables.down
+        down = self.down
         return self.down_index[down[x] & down[y]]
 
     def join(self, x: int, y: int) -> int:
-        up = self.tables.up
+        up = self.up
         return self.up_index[up[x] & up[y]]
 
     def height(self, x: int) -> int:
-        return self.tables.height[x]
+        return self.heights[x]
 
     def cover_pairs(self) -> Iterator[tuple[int, int]]:
         for i, ups in enumerate(self.upper):
@@ -152,7 +142,7 @@ def build_diagram(
     labels: Optional[Sequence[Optional[str]]] = None,
     name: Optional[str] = None,
 ) -> PlanarDiagram:
-    """Validate raw ordered cover lists and attach order tables.
+    """Validate raw ordered cover lists and attach their masks and heights.
 
     ``upper`` gives the ordered upper covers per element; the ordered
     lower covers are derived from them. The digraph must be acyclic, a
@@ -225,9 +215,9 @@ def build_diagram(
     bottom, top = minimal[0], maximal[0]
 
     height = posets.heights(ups, order)
-    left_rank, _ = _left_walk(ups, bottom)
+    rank, _ = _left_walk(ups, bottom)
 
-    lows = [sorted(pre, key=left_rank.__getitem__) for pre in preds]
+    lows = [sorted(pre, key=rank.__getitem__) for pre in preds]
 
     up_set = set(up_mask)
     ji = [j for j, pre in enumerate(preds) if len(pre) == 1]
@@ -236,7 +226,6 @@ def build_diagram(
             if ux & up_mask[j] not in up_set:
                 raise NotALattice(f"elements {x} and {j} have no join")
 
-    tables = OrderTables(up=tuple(up_mask), down=tuple(down_mask), height=tuple(height))
     lab = None if labels is None else tuple(labels)
     if lab is not None and len(lab) != n:
         raise ValidationError(f"{len(lab)} labels for {n} elements")
@@ -246,10 +235,11 @@ def build_diagram(
         tuple([share(r, r) for r in map(tuple, lows)]),
         lab,
         name,
-        tables,
+        tuple(up_mask),
+        tuple(down_mask),
+        tuple(height),
         bottom,
         top,
-        tuple(left_rank),
     )
 
 
@@ -277,7 +267,7 @@ def _left_walk(
 
 def is_graded(diagram: PlanarDiagram) -> bool:
     """Every cover raises the height by exactly one."""
-    h = diagram.tables.height
+    h = diagram.heights
     return all(h[j] == h[i] + 1 for i, j in diagram.cover_pairs())
 
 
@@ -303,7 +293,7 @@ def is_semimodular(diagram: PlanarDiagram) -> bool:
 def find_m3(diagram: PlanarDiagram):
     """A diamond sublattice (o, x, y, z, t) if one exists, else None."""
     n = diagram.n
-    up, down = diagram.tables.up, diagram.tables.down
+    up, down = diagram.up, diagram.down
     meet, join = diagram.meet, diagram.join
     full = (1 << n) - 1
     inc = [full & ~(up[i] | down[i]) for i in range(n)]
@@ -320,7 +310,7 @@ def find_m3(diagram: PlanarDiagram):
 def find_n5(diagram: PlanarDiagram):
     """A pentagon sublattice (o, z, x, y, t) with z < x if one exists."""
     n = diagram.n
-    up, down = diagram.tables.up, diagram.tables.down
+    up, down = diagram.up, diagram.down
     meet, join = diagram.meet, diagram.join
     full = (1 << n) - 1
     inc = [full & ~(up[i] | down[i]) for i in range(n)]
@@ -357,7 +347,7 @@ def ji_width_at_most_two(diagram: PlanarDiagram) -> bool:
     three atoms form a 3-antichain in J(B3). Use it only after
     :func:`is_semimodular` has passed.
     """
-    up, down = diagram.tables.up, diagram.tables.down
+    up, down = diagram.up, diagram.down
     ji, _ = irreducibles(diagram)
     ji_mask = _mask(ji)
     inc = {x: ji_mask & ~(up[x] | down[x]) for x in ji}

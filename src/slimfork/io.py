@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .construct import ForkScript
-from .diagram import PlanarDiagram, build_diagram
+from .diagram import PlanarDiagram, _left_walk, build_diagram
 from .errors import LatticeError, ParseError, ValidationError
 
 PathLike = Union[str, Path]
@@ -157,8 +157,9 @@ def render_dot(diagram: PlanarDiagram, name: Optional[str] = None) -> str:
     by_height: dict[int, list[int]] = {}
     for x in range(diagram.n):
         by_height.setdefault(diagram.height(x), []).append(x)
+    rank, _ = _left_walk(diagram.upper, diagram.bottom)
     for h in sorted(by_height):
-        nodes = sorted(by_height[h], key=diagram.left_rank.__getitem__)
+        nodes = sorted(by_height[h], key=rank.__getitem__)
         decls = []
         for x in nodes:
             label = str(x)

@@ -107,11 +107,6 @@ def cover_lists_from_up(up: Sequence[int]) -> list[list[int]]:
     return out
 
 
-def max_upper_covers(up: Sequence[int]) -> int:
-    """Largest number of upper covers any element has."""
-    return max((len(c) for c in cover_lists_from_up(up)), default=0)
-
-
 def maximal_elements(up: Sequence[int]) -> list[int]:
     """Elements with nothing strictly above them, ascending."""
     return [i for i, mask in enumerate(up) if mask == 1 << i]

@@ -17,9 +17,8 @@ from slimfork import (
     EnumSpec,
     GridSpec,
     all_congruences_oracle,
+    at_most_two_covers,
     canonical_key,
-    check_p1,
-    check_p2,
     congruence_lattice,
     dual_atom_count,
     enumerate_family,
@@ -30,6 +29,7 @@ from slimfork import (
     is_graded,
     is_semimodular,
     is_slim,
+    ji_congruences,
     ji_poset_of,
     planar_key,
     prime_ideal_congruence,
@@ -104,8 +104,9 @@ def test_criterion_2_seven_element_fork_facts():
         theta_r = prime_ideal_congruence(s7, principal_ideal(s7, a_r))
         assert coatoms == {theta_l, theta_r}
 
-        assert check_p1(s7) is True
-        assert check_p2(s7) == "holds"
+        production = ji_congruences(s7)
+        assert at_most_two_covers(production.up) is True
+        assert dual_atom_count(production.up) == 2
 
 
 def test_criterion_3_grid_congruence_lattices():

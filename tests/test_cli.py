@@ -170,6 +170,12 @@ class TestCheckCommand:
         status, _ = run(capsys, "check", str(s7_path), "--props", "bogus")
         assert status == 2
 
+    def test_p2_fails_on_m3(self, workdir, capsys):
+        io.save(helpers.m3(), workdir / "m3.json")
+        status = main(["check", "m3.json", "--props", "p2"])
+        assert status == 1
+        assert capsys.readouterr().out == '{"dual_atoms":1,"p2":"fails"}\n'
+
     def test_p2_exempt_on_tiny_lattice(self, workdir, capsys):
         io.save(helpers.chain(2), workdir / "c2.json")
         status, payload = run(capsys, "check", "c2.json", "--props", "p2")

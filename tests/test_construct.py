@@ -15,7 +15,6 @@ from slimfork import (
     build_diagram,
     build_fork,
     canonical_key,
-    check_fork_growth,
     fork_edit,
     four_cells,
     grid,
@@ -148,14 +147,6 @@ class TestInsertFork:
         assert (built.diagram.upper, built.diagram.lower) == (direct.diagram.upper, direct.diagram.lower)
         assert (built.m, built.left_leg, built.right_leg) == (direct.m, direct.left_leg, direct.right_leg)
 
-    def test_growth_check(self, g33):
-        edit = fork_edit(g33, four_cells(g33)[0])
-        check_fork_growth(edit, build_fork(edit).diagram)
-        with pytest.raises(ValidatorFailed, match="elements"):
-            check_fork_growth(edit, g33)
-        with pytest.raises(ValidatorFailed, match="height"):
-            check_fork_growth(edit, helpers.chain(len(edit.upper)))
-
     @pytest.mark.parametrize(
         "upper, message",
         [
@@ -163,8 +154,10 @@ class TestInsertFork:
             ([[], [6], [5], [2, 4, 1], [5, 6], [0], [0]], "not semimodular"),
             # M3 under a one-element tail: graded and semimodular, J(L) has width 3
             ([[1, 2, 3], [4], [4], [4], [5], []], "contains a diamond"),
+            # M3: a lattice of the 2x2 grid's height
+            ([[1, 2, 3], [4], [4], [4], []], "height did not increase"),
         ],
-        ids=["dual-s7", "m3-tail"],
+        ids=["dual-s7", "m3-tail", "m3"],
     )
     def test_build_fork_rejects_hand_built_edits(self, g22, upper, message):
         edit = ForkEdit(g22, four_cells(g22)[0], upper, m=len(upper) - 1, left_leg=(), right_leg=())

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import re
@@ -14,6 +13,7 @@ from slimfork import (
     DIAGRAM_MAX_ELEMENTS,
     FourCell,
     GridSpec,
+    PlanarDiagram,
     boundary_chains,
     build_diagram,
     canonical_key,
@@ -29,7 +29,7 @@ from slimfork import (
     planar_key,
     posets,
 )
-from slimfork.diagram import OrderTables, find_m3, find_n5
+from slimfork.diagram import find_m3, find_n5
 from slimfork.errors import (
     CycleDetected,
     DuplicateCover,
@@ -192,7 +192,9 @@ class TestTables:
             assert diagram.height(j) >= diagram.height(i) + 1
 
     def test_masks_are_the_only_tables(self):
-        assert not {"meet", "join"} & {f.name for f in dataclasses.fields(OrderTables)}
+        slots = set(PlanarDiagram.__slots__)
+        assert {"up", "down", "heights"} <= slots
+        assert not {"meet", "join", "tables", "left_rank"} & slots
 
     @pytest.mark.parametrize("p, q", [(15, 17), (16, 16)])
     def test_grid_meet_join_are_coordinatewise(self, p, q):
@@ -206,7 +208,7 @@ class TestTables:
 
     @pytest.mark.parametrize("diagram", helpers.lattice_corpus(), ids=lambda d: d.name)
     def test_down_is_transpose_of_up(self, diagram):
-        up, down = diagram.tables.up, diagram.tables.down
+        up, down = diagram.up, diagram.down
         for x in range(diagram.n):
             assert down[x] == sum(1 << y for y in range(diagram.n) if (up[y] >> x) & 1)
 
@@ -243,8 +245,8 @@ class TestSharedRowsAndLazyIndexes:
         d = build_diagram(diagram.upper)
         getattr(d, first)(d.bottom, d.top)
         up_index, down_index = d.up_index, d.down_index
-        assert up_index == {m: i for i, m in enumerate(d.tables.up)}
-        assert down_index == {m: i for i, m in enumerate(d.tables.down)}
+        assert up_index == {m: i for i, m in enumerate(d.up)}
+        assert down_index == {m: i for i, m in enumerate(d.down)}
         assert d.up_index is up_index and d.down_index is down_index
 
 

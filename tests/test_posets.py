@@ -52,12 +52,6 @@ def test_ideal_masks_are_down_closed():
             assert strict_down[e] & ~mask == 0
 
 
-def test_max_upper_covers_claw():
-    # one bottom below a 3-antichain
-    up = [0b1111, 0b0010, 0b0100, 0b1000]
-    assert posets.max_upper_covers(up) == 3
-
-
 def test_canonical_key_distinguishes_and_identifies():
     chain3 = [[1], [2], []]
     vee = [[1, 2], [], []]
@@ -151,7 +145,7 @@ class TestCanonicalKeyCost:
     def test_antichains_and_boolean_ji_orders(self):
         orders = [[[] for _ in range(n)] for n in range(2, 12)]
         for k in range(1, 11):
-            _, ji_up = posets.join_irreducible_order(helpers.boolean(k).tables.up)
+            _, ji_up = posets.join_irreducible_order(helpers.boolean(k).up)
             orders.append(posets.cover_lists_from_up(ji_up))
             assert orders[-1] == [[] for _ in range(k)]
         start = time.perf_counter()
