@@ -20,14 +20,11 @@ from .diagram import (
     planar_key,
 )
 from .construct import (
-    ForkEdit,
     ForkResult,
     ForkScript,
     GridSpec,
     RectangularProfile,
-    build_fork,
     cell_at,
-    fork_edit,
     grid,
     insert_fork,
     rectangular_profile,
@@ -38,7 +35,6 @@ from .congruence import (
     CongruenceLattice,
     JiPoset,
     Partition,
-    PrincipalIdeal,
     all_congruences_oracle,
     at_most_two_covers,
     congruence_lattice,

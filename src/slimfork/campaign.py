@@ -8,7 +8,8 @@ of a fork at every covering square, with no cover-list edit. Candidates
 are keyed by the orbit key min(pi, pi^-1), which separates isomorphism
 classes as the planar key (:func:`diagram.planar_key`) does, and merged
 in (key, script) order with first-witness-wins; only the first candidate
-of each new key is edited, built, validated, planar-keyed and profiled.
+of each new key is forked (:func:`construct.insert_fork`), planar-keyed
+and profiled.
 So the family and the chosen witness scripts are identical for any
 work-order permutation. Units are pure functions over immutable
 diagrams and may be executed concurrently; the merge is the only
@@ -38,9 +39,8 @@ from .construct import (
     ForkScript,
     GridSpec,
     RectangularProfile,
-    build_fork,
-    fork_edit,
     grid,
+    insert_fork,
     rectangular_profile,
 )
 from .diagram import PlanarDiagram, four_cells, planar_key
@@ -223,8 +223,8 @@ def _merge(
 
     A candidate is (orbit key, script, source, cell, perm): a grid with
     no cell, or a fork at a cell of its parent diagram. ``seen`` holds
-    the orbit keys of every wave so far. Only a winner is edited, built,
-    validated and planar-keyed; the others make no edit. Raises
+    the orbit keys of every wave so far. Only a winner is forked by
+    :func:`insert_fork` and planar-keyed; the others make no edit. Raises
     ValidatorFailed when a winner's size or length is not that of its
     permutation, or when its drawing is already a class, that is, when
     the orbit key splits a class.
@@ -234,13 +234,13 @@ def _merge(
         if okey in seen:
             continue
         seen.add(okey)
-        diagram = source if cell is None else build_fork(fork_edit(source, cell)).diagram
+        diagram = source if cell is None else insert_fork(source, cell).diagram
         if diagram.n != len(perm) + 1 + _inversions(perm) or diagram.height(diagram.top) != len(perm):
             raise ValidatorFailed(
                 f"{script.to_obj()} has {diagram.n} elements and length {diagram.height(diagram.top)},"
                 f" which do not fit its Jordan–Hölder permutation {perm}"
             )
-        key = planar_key(diagram.upper, diagram.bottom)
+        key = planar_key(diagram)
         if key in entries:
             raise ValidatorFailed(
                 f"{script.to_obj()} draws the class of {entries[key].script.to_obj()} under another orbit key"
@@ -402,9 +402,9 @@ def boundary_ideal_facts(
     facts: dict = {
         "c_l": profile.c_l,
         "c_r": profile.c_r,
-        "left_ideal": list(left.members),
-        "right_ideal": list(right.members),
-        "distinct": set(left.members) != set(right.members),
+        "left_ideal": list(left),
+        "right_ideal": list(right),
+        "distinct": set(left) != set(right),
         "left_prime": is_prime_ideal(lattice, left),
         "right_prime": is_prime_ideal(lattice, right),
     }

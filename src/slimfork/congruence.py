@@ -579,10 +579,11 @@ def congruence_lattice(diagram: PlanarDiagram) -> CongruenceLattice:
     """Every congruence, as the joins of the down-sets of J(Con L).
 
     Every congruence is the join of the join-irreducible congruences
-    below it, and distinct down-sets give distinct joins. The size is
-    exponential in |J(Con L)|; the claims need only J, so build this
-    only when a caller needs every congruence. Raises TooLarge as soon
-    as there are more than CON_MAX_MEMBERS down-sets.
+    below it, and distinct down-sets give distinct joins (Birkhoff), so
+    two equal joins mean a wrong J order and raise ValidatorFailed. The
+    size is exponential in |J(Con L)|; the claims need only J, so build
+    this only when a caller needs every congruence. Raises TooLarge as
+    soon as there are more than CON_MAX_MEMBERS down-sets.
     """
     ji = ji_congruences(diagram)
     k = len(ji)
@@ -600,11 +601,11 @@ def congruence_lattice(diagram: PlanarDiagram) -> CongruenceLattice:
     for mask in masks[1:]:
         e = mask.bit_length() - 1
         join_of[mask] = join_of[mask ^ (1 << e)].join(ji.members[e])
-    mask_of: dict[Partition, int] = {}
-    for mask, part in join_of.items():
-        mask_of.setdefault(part, mask)
-    ms = sorted(mask_of, key=Partition.sort_key)
-    masks = [mask_of[p] for p in ms]
+    masks = sorted(join_of, key=lambda mask: join_of[mask].sort_key())
+    for x, y in zip(masks, masks[1:]):
+        if join_of[x] == join_of[y]:
+            raise ValidatorFailed(f"down-sets {x:#b} and {y:#b} of J(Con L) have the same join")
+    ms = [join_of[mask] for mask in masks]
     up = [0] * len(ms)
     for i, mi in enumerate(masks):
         for j, mj in enumerate(masks):
@@ -656,17 +657,9 @@ def at_most_two_covers(up: Sequence[int]) -> bool:
     return all(len(c) <= 2 for c in posets.cover_lists_from_up(up))
 
 
-@dataclass(frozen=True)
-class PrincipalIdeal:
-    """The down-set of a generator element."""
-
-    generator: int
-    members: tuple[int, ...]
-
-
-def principal_ideal(diagram: PlanarDiagram, x: int) -> PrincipalIdeal:
+def principal_ideal(diagram: PlanarDiagram, x: int) -> tuple[int, ...]:
     """All elements below x, ascending."""
-    return PrincipalIdeal(x, tuple(posets.bit_indices(diagram.down[x])))
+    return tuple(posets.bit_indices(diagram.down[x]))
 
 
 def _ideal_mask(diagram: PlanarDiagram, ideal) -> int:
@@ -676,7 +669,7 @@ def _ideal_mask(diagram: PlanarDiagram, ideal) -> int:
     principal ideal, so the join test is one lookup among the down
     masks. Otherwise it has two maximal members, whose join lies outside.
     """
-    members = frozenset(ideal.members if isinstance(ideal, PrincipalIdeal) else ideal)
+    members = frozenset(ideal)
     mask = sum(1 << x for x in members)
     for x in members:
         if diagram.down[x] & ~mask:
@@ -713,7 +706,7 @@ def prime_ideal_congruence(diagram: PlanarDiagram, ideal) -> Partition:
     """
     if not is_prime_ideal(diagram, ideal):
         raise NotPrime("the given ideal is not a proper nonempty prime ideal")
-    members = frozenset(ideal.members if isinstance(ideal, PrincipalIdeal) else ideal)
+    members = frozenset(ideal)
     part = Partition.normalize([0 if x in members else 1 for x in range(diagram.n)])
     if not is_congruence(diagram, part):
         raise ValidatorFailed("prime ideal did not induce a congruence")

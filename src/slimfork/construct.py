@@ -3,12 +3,12 @@
 A fork adds one new element under a covering square's top, then runs a
 staircase of edge-subdividing elements from the square down-left to
 the left boundary chain and, mirror-symmetrically, down-right to the
-right boundary chain. Insertion is two steps: the cover-list edit
-(:func:`fork_edit`), then the build with mandatory structural
-validation (:func:`build_fork`); a fork that breaks slimness,
-semimodularity, gradedness or the one-level height increase raises
-ValidatorFailed. Grids and forks are written as ordered upper-cover
-lists only; :func:`build_diagram` derives every lower list from them.
+right boundary chain. :func:`insert_fork` edits the cover lists, then
+builds the result with mandatory structural validation; a fork that
+breaks slimness, semimodularity, gradedness or the one-level height
+increase raises ValidatorFailed. Grids and forks are written as
+ordered upper-cover lists only; :func:`build_diagram` derives every
+lower list from them.
 """
 
 from __future__ import annotations
@@ -91,22 +91,6 @@ class ForkScript:
 
     def sort_key(self) -> tuple:
         return (self.grid.p, self.grid.q, self.steps)
-
-
-@dataclass(frozen=True)
-class ForkEdit:
-    """A fork's edited cover lists, before they are built and validated.
-
-    ``upper`` holds the new ordered upper-cover lists; the parent's
-    bottom stays the bottom. The lists are not copied: do not mutate them.
-    """
-
-    parent: PlanarDiagram
-    cell: FourCell
-    upper: list[list[int]]
-    m: int
-    left_leg: tuple[int, ...]
-    right_leg: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -218,8 +202,10 @@ def _staircase(
     raise ValidatorFailed(f"staircase from {steps[0]} did not reach the {side} boundary")
 
 
-def fork_edit(diagram: PlanarDiagram, cell: FourCell) -> ForkEdit:
-    """The cover lists of a fork at a covering square, neither built nor validated.
+def _fork_upper(
+    diagram: PlanarDiagram, cell: FourCell
+) -> tuple[list[list[int]], int, tuple[int, ...], tuple[int, ...]]:
+    """The upper lists, m and legs of a fork at a covering square, not yet built.
 
     The new top element m is covered by the square's top, slotted
     between the two atoms. Each staircase edge o_k -< w_k is split by a
@@ -250,32 +236,32 @@ def fork_edit(diagram: PlanarDiagram, cell: FourCell) -> ForkEdit:
         v = rids[k]
         upper[ok][upper[ok].index(wk)] = v
         upper[v] = [m if k == 0 else rids[k - 1], wk]
-    return ForkEdit(diagram, cell, upper, m, tuple(lids), tuple(rids))
+    return upper, m, tuple(lids), tuple(rids)
 
 
-def build_fork(edit: ForkEdit) -> ForkResult:
-    """Build an edit's diagram and validate it in full.
+def insert_fork(diagram: PlanarDiagram, cell: FourCell) -> ForkResult:
+    """Insert a fork at a covering square of a slim semimodular diagram.
 
-    The result must be a lattice one level taller than the parent,
-    graded, semimodular and slim; otherwise ValidatorFailed is raised.
-    Both structural tests are local: semimodularity is Birkhoff's
-    covering condition (:func:`is_semimodular`), and slimness, tested
-    once semimodularity holds, is the width test on J(L)
-    (:func:`ji_width_at_most_two`). A failed width test is reported as
-    "result contains a diamond", its meaning on planar semimodular
-    lattices.
+    The cover lists come from :func:`_fork_upper`. The result must be a
+    lattice one level taller than the parent, graded, semimodular and
+    slim; otherwise ValidatorFailed is raised. Both structural tests are
+    local: semimodularity is Birkhoff's covering condition
+    (:func:`is_semimodular`), and slimness, tested once semimodularity
+    holds, is the width test on J(L) (:func:`ji_width_at_most_two`). A
+    failed width test is reported as "result contains a diamond", its
+    meaning on planar semimodular lattices. The parent is left unchanged.
     """
-    parent, cell = edit.parent, edit.cell
+    upper, m, left_leg, right_leg = _fork_upper(diagram, cell)
     labels = None
-    if parent.labels is not None:
-        labels = parent.labels + (None,) * (len(edit.upper) - parent.n)
-    name = f"{parent.name or 'lattice'}-fork{cell.o}"
+    if diagram.labels is not None:
+        labels = diagram.labels + (None,) * (len(upper) - diagram.n)
+    name = f"{diagram.name or 'lattice'}-fork{cell.o}"
     try:
-        out = build_diagram(edit.upper, labels=labels, name=name)
+        out = build_diagram(upper, labels=labels, name=name)
     except LatticeError as exc:
         raise ValidatorFailed(f"fork at {cell} produced an invalid diagram: {exc}") from exc
 
-    if out.height(out.top) != parent.height(parent.top) + 1:
+    if out.height(out.top) != diagram.height(diagram.top) + 1:
         raise ValidatorFailed(f"fork at {cell}: height did not increase by exactly 1")
     if not is_graded(out):
         raise ValidatorFailed(f"fork at {cell}: result is not graded")
@@ -283,7 +269,7 @@ def build_fork(edit: ForkEdit) -> ForkResult:
         raise ValidatorFailed(f"fork at {cell}: result is not semimodular")
     if not ji_width_at_most_two(out):
         raise ValidatorFailed(f"fork at {cell}: result contains a diamond")
-    return ForkResult(out, edit.m, edit.left_leg, edit.right_leg)
+    return ForkResult(out, m, left_leg, right_leg)
 
 
 def cell_at(diagram: PlanarDiagram, o: int) -> FourCell:
@@ -294,15 +280,6 @@ def cell_at(diagram: PlanarDiagram, o: int) -> FourCell:
     if len(matches) > 1:
         raise NotACell(f"bottom {o} is ambiguous between {matches}")
     return matches[0]
-
-
-def insert_fork(diagram: PlanarDiagram, cell: FourCell) -> ForkResult:
-    """Insert a fork at a covering square of a slim semimodular diagram.
-
-    The cover-list edit of :func:`fork_edit`, then the build and full
-    validation of :func:`build_fork`.
-    """
-    return build_fork(fork_edit(diagram, cell))
 
 
 def run_script(script: ForkScript) -> tuple[PlanarDiagram, tuple[PlanarDiagram, ...]]:

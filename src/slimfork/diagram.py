@@ -418,25 +418,24 @@ def canonical_key(diagram: PlanarDiagram) -> bytes:
     return diagram._key
 
 
-def planar_key(upper: Sequence[Sequence[int]], bottom: int) -> bytes:
+def planar_key(diagram: PlanarDiagram) -> bytes:
     """Canonical byte string of a drawing, up to relabelling and reflection.
 
-    Works on raw ordered upper-cover lists, every element above
-    ``bottom``. A drawing code renumbers the elements by the
-    leftmost-first walk from ``bottom`` and lists the ordered upper
-    lists in that numbering; the mirror image, every list reversed, has
-    a code of its own, and the key holds the smaller of the two. Each
-    orientation is walked once, the codes are compared row by row up to
-    their first difference, and only the smaller one is written out.
+    A drawing code renumbers the elements by the leftmost-first walk
+    from the bottom, which reaches every element of a built diagram,
+    and lists the ordered upper lists in that numbering; the mirror
+    image, every list reversed, has a code of its own, and the key
+    holds the smaller of the two. Each orientation is walked once, the
+    codes are compared row by row up to their first difference, and
+    only the smaller one is written out.
     The key encodes the whole cover digraph, so equal keys mean equal
     drawings up to relabelling and reflection. A slim rectangular
     lattice has only one planar diagram up to reflection (Czédli and
     Grätzer, 2014), so on such lattices the key separates isomorphism
     classes as :func:`canonical_key` does, in linear time.
     """
+    upper, bottom = diagram.upper, diagram.bottom
     rank, order = _left_walk(upper, bottom)
-    if len(order) < len(upper):
-        raise ValidationError(f"element {rank.index(-1)} is not above the bottom {bottom}")
     mrank, morder = _left_walk(upper, bottom, mirrored=True)
     mirrored = False
     for x, y in zip(order, morder):

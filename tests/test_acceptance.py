@@ -199,7 +199,7 @@ def test_criterion_8_fork_insertion_invariants(campaign):
                 assert diagram.height(diagram.top) == before_h + 1
                 assert is_slim(diagram) and is_semimodular(diagram) and is_graded(diagram)
                 rectangular_profile(diagram)
-            assert planar_key(diagram.upper, diagram.bottom) == entry.key
+            assert planar_key(diagram) == entry.key
             assert canonical_key(diagram) == canonical_key(entry.diagram)
         for p in range(2, 5):
             for q in range(2, 5):

@@ -72,7 +72,7 @@ class TestEnumerateFamily:
     def test_s7_entry_present(self):
         family = enumerate_family(EnumSpec(2, 2, 1))
         s7 = helpers.s7()
-        entry = family.get(planar_key(s7.upper, s7.bottom))
+        entry = family.get(planar_key(s7))
         assert entry is not None
         assert canonical_key(entry.diagram) == canonical_key(s7)
         assert entry.script == ForkScript(GridSpec(2, 2), (0,))
@@ -119,7 +119,7 @@ class TestEnumerateFamily:
         family = enumerate_family(EnumSpec(3, 3, 2, max_elements=20))
         for entry in family.members():
             replay, _ = run_script(entry.script)
-            assert planar_key(replay.upper, replay.bottom) == entry.key
+            assert planar_key(replay) == entry.key
             assert canonical_key(replay) == canonical_key(entry.diagram)
 
     @pytest.mark.parametrize("seed", [0, 1, 2024])
@@ -233,22 +233,22 @@ class TestAgainstGenericKeyEnumeration:
                 groups.setdefault(key(diagram), set()).add(i)
             return {frozenset(group) for group in groups.values()}
 
-        assert partition(lambda d: planar_key(d.upper, d.bottom)) == partition(canonical_key)
+        assert partition(planar_key) == partition(canonical_key)
 
     def test_orbit_and_planar_keys_partition_alike(self, oracle):
         candidates, _ = oracle
         groups: dict = {}
         for _, d in candidates:
             groups.setdefault(campaign_module._orbit_key(jh_permutation(d)[0]), set()).add(
-                planar_key(d.upper, d.bottom)
+                planar_key(d)
             )
         assert all(len(keys) == 1 for keys in groups.values())
-        assert len(groups) == len({planar_key(d.upper, d.bottom) for _, d in candidates})
+        assert len(groups) == len({planar_key(d) for _, d in candidates})
 
     def test_family_equals_oracle(self, oracle, campaign):
         _, classes = oracle
         expected = {
-            planar_key(d.upper, d.bottom): (script, d.upper, d.lower)
+            planar_key(d): (script, d.upper, d.lower)
             for script, d in classes.values()
         }
         got = {

@@ -215,6 +215,15 @@ class TestCongruenceLattice:
         assert len(con) == 5
         assert len(con.coatom_indices()) == 2
 
+    def test_wrong_ji_order_raises(self, s7, monkeypatch):
+        # J(Con S7) as an antichain has 8 down-sets, but they join to only
+        # the 5 congruences of S7
+        ji = ji_congruences(s7)
+        antichain = congruence.JiPoset(ji.members, [1 << i for i in range(len(ji))], ji.generators)
+        monkeypatch.setattr(congruence, "ji_congruences", lambda diagram: antichain)
+        with pytest.raises(ValidatorFailed, match="have the same join"):
+            congruence_lattice(s7)
+
     def test_cap(self, g33, monkeypatch):
         # Con of the 3 x 3 grid is B4, 16 congruences
         monkeypatch.setattr(congruence, "CON_MAX_MEMBERS", 16)
@@ -541,7 +550,7 @@ class TestP1P2:
 class TestIdeals:
     def test_principal_ideal_members(self, g33):
         ideal = principal_ideal(g33, 6)
-        assert ideal.members == (0, 3, 6)
+        assert ideal == (0, 3, 6)
 
     def test_column_ideal_is_prime(self, g33):
         assert is_prime_ideal(g33, principal_ideal(g33, 6))
@@ -552,7 +561,7 @@ class TestIdeals:
 
     def test_s7_boundary_ideal(self, s7):
         ideal = principal_ideal(s7, 2)
-        assert set(ideal.members) == {0, 5, 2}
+        assert set(ideal) == {0, 5, 2}
         assert is_prime_ideal(s7, ideal)
 
     def test_not_an_ideal(self, s7, g22):

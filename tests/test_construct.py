@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 import helpers
 from slimfork import (
-    ForkEdit,
     ForkScript,
     GridSpec,
     boundary_chains,
     build_diagram,
-    build_fork,
     canonical_key,
-    fork_edit,
     four_cells,
     grid,
     insert_fork,
@@ -26,6 +23,7 @@ from slimfork import (
     rectangular_profile,
     run_script,
 )
+from slimfork import construct
 from slimfork.errors import (
     NotACell,
     NotRectangular,
@@ -137,15 +135,13 @@ class TestInsertFork:
             with pytest.raises(ValidatorFailed):
                 insert_fork(m3, cell)
 
-    def test_edit_then_build(self, g33):
-        cell = four_cells(g33)[0]
-        before = (g33.upper, g33.lower)
-        edit = fork_edit(g33, cell)
-        assert (g33.upper, g33.lower) == before
-        assert len(edit.upper) == g33.n + 1 + len(edit.left_leg) + len(edit.right_leg)
-        built, direct = build_fork(edit), insert_fork(g33, cell)
-        assert (built.diagram.upper, built.diagram.lower) == (direct.diagram.upper, direct.diagram.lower)
-        assert (built.m, built.left_leg, built.right_leg) == (direct.m, direct.left_leg, direct.right_leg)
+    def test_leaves_parent_unchanged(self, g33):
+        before = (g33.upper, g33.lower, g33.up, g33.down)
+        for cell in four_cells(g33):
+            result = insert_fork(g33, cell)
+            assert (g33.upper, g33.lower, g33.up, g33.down) == before
+            assert result.diagram.n == g33.n + 1 + len(result.left_leg) + len(result.right_leg)
+            assert result.m == g33.n
 
     @pytest.mark.parametrize(
         "upper, message",
@@ -159,10 +155,10 @@ class TestInsertFork:
         ],
         ids=["dual-s7", "m3-tail", "m3"],
     )
-    def test_build_fork_rejects_hand_built_edits(self, g22, upper, message):
-        edit = ForkEdit(g22, four_cells(g22)[0], upper, m=len(upper) - 1, left_leg=(), right_leg=())
+    def test_build_fork_rejects_hand_built_edits(self, g22, upper, message, monkeypatch):
+        monkeypatch.setattr(construct, "_fork_upper", lambda diagram, cell: (upper, len(upper) - 1, (), ()))
         with pytest.raises(ValidatorFailed, match=message):
-            build_fork(edit)
+            insert_fork(g22, four_cells(g22)[0])
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("q", [2, 3, 4])

@@ -17,7 +17,6 @@ from slimfork import (
     boundary_chains,
     build_diagram,
     canonical_key,
-    fork_edit,
     four_cells,
     grid,
     is_graded,
@@ -440,10 +439,6 @@ class TestCanonicalKeys:
                 assert is_isomorphic(a, b) == brute_isomorphic(a, b), (a.name, b.name)
 
 
-def _key(diagram):
-    return planar_key(diagram.upper, diagram.bottom)
-
-
 def _fork_script_diagram(data, max_forks=3):
     p, q = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
     d = grid(GridSpec(p, q))
@@ -457,42 +452,41 @@ class TestPlanarKey:
     @settings(max_examples=40, deadline=None)
     def test_invariant_on_fork_scripts(self, data):
         d = _fork_script_diagram(data)
-        key = _key(d)
-        assert _key(helpers.mirror(d)) == key
+        key = planar_key(d)
+        assert planar_key(helpers.mirror(d)) == key
         perm = data.draw(st.permutations(range(d.n)))
-        assert _key(helpers.relabel(d, list(perm))) == key
+        assert planar_key(helpers.relabel(d, list(perm))) == key
 
     def test_grid_transpose_collides(self):
-        assert _key(grid(GridSpec(2, 3))) == _key(grid(GridSpec(3, 2)))
+        assert planar_key(grid(GridSpec(2, 3))) == planar_key(grid(GridSpec(3, 2)))
 
     def test_distinct_classes_in_corpus(self):
         keys = {}
         for d in helpers.lattice_corpus():
-            keys.setdefault(_key(d), []).append(d.name)
+            keys.setdefault(planar_key(d), []).append(d.name)
         collisions = [names for names in keys.values() if len(names) > 1]
         assert collisions == [["grid-2x3", "grid-3x2"]]
 
     def test_rejects_element_not_above_bottom(self):
-        for key in (planar_key, helpers.planar_key_both_codes):
-            with pytest.raises(ValidationError, match=r"^element 2 is not above the bottom 0$"):
-                key([[1], [], [1]], 0)
+        with pytest.raises(ValidationError, match=r"^element 2 is not above the bottom 0$"):
+            helpers.planar_key_both_codes([[1], [], [1]], 0)
 
     def test_matches_both_codes_on_acceptance_candidates(self, acceptance_family):
         spec = acceptance_family.spec
         candidates = [
-            grid(GridSpec(p, q)).upper
+            grid(GridSpec(p, q))
             for p in range(2, spec.p_max + 1)
             for q in range(2, min(spec.q_max, spec.max_elements // p) + 1)
         ]
         for entry in acceptance_family.members():
             if entry.forks < spec.max_forks:
                 for cell in four_cells(entry.diagram):
-                    edit = fork_edit(entry.diagram, cell)
-                    if len(edit.upper) <= spec.max_elements:
-                        candidates.append(edit.upper)
+                    fork = insert_fork(entry.diagram, cell).diagram
+                    if fork.n <= spec.max_elements:
+                        candidates.append(fork)
         assert len(candidates) == acceptance_family.candidates == 1737
-        for upper in candidates:
-            assert planar_key(upper, 0) == helpers.planar_key_both_codes(upper, 0)
+        for d in candidates:
+            assert planar_key(d) == helpers.planar_key_both_codes(d.upper, d.bottom)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -500,7 +494,7 @@ class TestPlanarKey:
         d = _fork_script_diagram(data)
         perm = data.draw(st.permutations(range(d.n)))
         for e in (d, helpers.mirror(d), helpers.relabel(d, list(perm))):
-            assert _key(e) == helpers.planar_key_both_codes(e.upper, e.bottom)
+            assert planar_key(e) == helpers.planar_key_both_codes(e.upper, e.bottom)
 
     @pytest.mark.parametrize(
         "diagram",
@@ -512,5 +506,5 @@ class TestPlanarKey:
         mirror = [row[::-1] for row in diagram.upper]
         code = helpers.drawing_code(diagram.upper, diagram.bottom)
         assert helpers.drawing_code(mirror, diagram.bottom) == code
-        assert _key(diagram) == helpers.planar_key_both_codes(diagram.upper, diagram.bottom)
-        assert _key(diagram) == repr((diagram.n, code)).encode("ascii")
+        assert planar_key(diagram) == helpers.planar_key_both_codes(diagram.upper, diagram.bottom)
+        assert planar_key(diagram) == repr((diagram.n, code)).encode("ascii")
