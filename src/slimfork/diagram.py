@@ -14,21 +14,21 @@ element's lower covers are sorted by that rank. A slim semimodular
 lattice has one planar diagram up to reflection, so the upper lists fix
 the plane order of the lower lists, and this ranking reproduces it.
 
-The up masks come from one pass over the covers in reverse topological
-order, and the down masks from one pass over the lower covers in
-topological order. The masks are the only tables of the order: the meet
-of x and y is the element whose down mask is down[x] & down[y], and the
-join the element whose up mask is up[x] & up[y], each found by one
-lookup in a dict built on first use. Diagrams are capped at
-DIAGRAM_MAX_ELEMENTS elements, because the lattice check at
-construction tests n·|J(L)| joins, which is still quadratic in the
-size on a chain.
+A build makes two passes over a topological order of the covers. The
+pass up the order computes the down masks and the heights; the pass
+down it computes the up masks and finds every cover that a longer chain
+implies. The masks are the only tables of the order: the meet of x and
+y is the element whose down mask is down[x] & down[y], and the join the
+element whose up mask is up[x] & up[y], each found by one lookup in a
+dict built on first use. Diagrams are capped at DIAGRAM_MAX_ELEMENTS
+elements, because the lattice check at construction tests up to
+n·|J(L)| joins of n-bit masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NoReturn, Optional, Sequence
 
 from . import posets
 from .errors import (
@@ -40,8 +40,8 @@ from .errors import (
     ValidationError,
 )
 
-# The lattice check at construction tests n·|J(L)| joins, quadratic in
-# the size on a chain.
+# The lattice check at construction tests up to n·|J(L)| joins of n-bit
+# masks.
 DIAGRAM_MAX_ELEMENTS = 2_048
 
 # Interned cover rows, each its own key (see build_diagram).
@@ -152,24 +152,36 @@ def build_diagram(
     NotBounded, DuplicateCover, NotALattice or ValidationError
     accordingly.
 
-    The lattice check tests only the joins x v j, for every element x
-    and every j in J(L), the elements with exactly one lower cover. In
-    a finite poset with a least element these joins decide
-    lattice-ness:
+    The lattice check tests only the joins y v j for j in J(L), the
+    elements with exactly one lower cover j_*, and y > j_* with
+    j not <= y. In a finite poset with a least element these joins
+    decide lattice-ness:
 
     (i) Each z is the least upper bound of J(z), the elements of J(L)
         below z, by induction along a linear extension. The least upper
-        bound s of J(z) exists, as a chain of tested joins starting at
+        bound s of J(z) exists, as a chain of joins x v j starting at
         the bottom, and s <= z. If s < z, then z is not in J(L), so it
         has two or more lower covers, and s lies below one of them, c.
         Any other lower cover c' satisfies c' = lub(J(c')) <= s <= c,
         but distinct lower covers are incomparable.
     (ii) x v y = x v j_1 v ... v j_m over J(y) = {j_1, ..., j_m}, and
-        each step is a tested join.
+        each step is a join x v j.
+    (iii) Every join x v j with j in J(L) exists, by induction along a
+        linear extension of J(L): y = x v j_* exists by (i) and (ii)
+        over J(j_*), whose members all come before j. Each upper bound
+        of {x, j} lies above j_*, so the upper bounds of {x, j} are
+        those of {y, j}. If j <= y, the join is y; if y = j_*, it is
+        j; otherwise y v j is tested.
 
     A finite join-semilattice with a least element is a lattice, so
-    meets need no test, and a pair without a join is always reported
-    as such.
+    meets need no test.
+
+    Kahn's order is read twice: up it for the down masks and the
+    heights, and down it for the up masks and the implied-edge test.
+    A failure is reported as the index-order scans that these passes
+    replace report it: the first implied edge of the first offending
+    row, and the first pair (x, j) without a join, x-major, so the
+    message does not depend on the order.
 
     Equal cover rows are one tuple, interned in a module table that
     holds at most the distinct rows built in the process.
@@ -180,59 +192,90 @@ def build_diagram(
     if n > DIAGRAM_MAX_ELEMENTS:
         raise TooLarge(f"diagram has {n} elements; the cap is {DIAGRAM_MAX_ELEMENTS}")
     ups: list[list[int]] = []
+    indeg = [0] * n
     for i, raw in enumerate(upper):
-        row = [int(j) for j in raw]
+        row = list(map(int, raw))
         for j in row:
             if j < 0 or j >= n:
                 raise ValidationError(f"element {i} lists cover {j} outside [0, {n})")
             if j == i:
                 raise CycleDetected(f"element {i} covers itself")
-        if len(set(row)) != len(row):
+            indeg[j] += 1
+        if len(row) > 1 and len(set(row)) != len(row):
             raise DuplicateCover(f"element {i} lists a cover twice: {row}")
         ups.append(row)
 
-    order = posets.topological_order(ups)
-    up_mask = posets.up_masks(ups, order)
-    for i, row in enumerate(ups):
-        # elements strictly above some cover of i
-        above = 0
-        for k in row:
-            above |= up_mask[k] ^ 1 << k
-        for j in row:
-            if above >> j & 1:
-                raise ValidationError(f"edge {i} -< {j} is implied by a longer chain")
+    # Kahn's order, read while it grows; up it: down masks and heights
+    minimal = [i for i in range(n) if not indeg[i]]
+    order = minimal[:]
+    down_mask = [1 << i for i in range(n)]
+    height = [0] * n
+    for x in order:
+        dx, hx = down_mask[x], height[x] + 1
+        for j in ups[x]:
+            down_mask[j] |= dx
+            if height[j] < hx:
+                height[j] = hx
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) != n:
+        raise CycleDetected("cover digraph contains a cycle")
 
-    preds = posets.predecessor_lists(ups)
-    # reachability along the lower covers, bottom first
-    down_mask = posets.up_masks(preds, order[::-1])
+    # down the order: up masks, and the covers that a longer chain implies
+    up_mask = [0] * n
+    implied = False
+    for x in reversed(order):
+        covers = above = 0
+        for k in ups[x]:
+            bit = 1 << k
+            covers |= bit
+            above |= up_mask[k] ^ bit
+        if above & covers:
+            implied = True
+        up_mask[x] = above | covers | 1 << x
+    if implied:
+        for i, row in enumerate(ups):
+            above = 0
+            for k in row:
+                above |= up_mask[k] ^ 1 << k
+            for j in row:
+                if above >> j & 1:
+                    raise ValidationError(f"edge {i} -< {j} is implied by a longer chain")
 
-    minimal = [i for i in range(n) if down_mask[i] == 1 << i]
-    maximal = [i for i in range(n) if up_mask[i] == 1 << i]
+    maximal = [i for i in range(n) if not ups[i]]
     if len(minimal) != 1:
         raise NotBounded(f"no unique least element; minimal elements: {minimal}")
     if len(maximal) != 1:
         raise NotBounded(f"no unique greatest element; maximal elements: {maximal}")
     bottom, top = minimal[0], maximal[0]
 
-    height = posets.heights(ups, order)
-    rank, _ = _left_walk(ups, bottom)
-
-    lows = [sorted(pre, key=rank.__getitem__) for pre in preds]
+    # lower covers listed in the order the leftmost-first walk visits them
+    lows: list[list[int]] = [[] for _ in range(n)]
+    for x in _left_walk(ups, bottom)[1]:
+        for j in ups[x]:
+            lows[j].append(x)
 
     up_set = set(up_mask)
-    ji = [j for j, pre in enumerate(preds) if len(pre) == 1]
-    for x, ux in enumerate(up_mask):
-        for j in ji:
-            if ux & up_mask[j] not in up_set:
-                raise NotALattice(f"elements {x} and {j} have no join")
+    ji = [j for j, low in enumerate(lows) if len(low) == 1]
+    for j in ji:
+        uj, below = up_mask[j], lows[j][0]
+        # the y > j_* with j not <= y
+        rest = up_mask[below] & ~uj ^ 1 << below
+        while rest:
+            low = rest & -rest
+            if up_mask[low.bit_length() - 1] & uj not in up_set:
+                _raise_first_missing_join(up_mask, ji, up_set)
+            rest ^= low
 
     lab = None if labels is None else tuple(labels)
     if lab is not None and len(lab) != n:
         raise ValidationError(f"{len(lab)} labels for {n} elements")
     share = _rows.setdefault
+    up_rows, low_rows = list(map(tuple, ups)), list(map(tuple, lows))
     return PlanarDiagram(
-        tuple([share(r, r) for r in map(tuple, ups)]),
-        tuple([share(r, r) for r in map(tuple, lows)]),
+        tuple(map(share, up_rows, up_rows)),
+        tuple(map(share, low_rows, low_rows)),
         lab,
         name,
         tuple(up_mask),
@@ -241,6 +284,15 @@ def build_diagram(
         bottom,
         top,
     )
+
+
+def _raise_first_missing_join(up_mask: list[int], ji: list[int], up_set: set[int]) -> NoReturn:
+    """Raise NotALattice on the first pair (x, j) without a join, x-major, j in J(L)."""
+    for x, ux in enumerate(up_mask):
+        for j in ji:
+            if ux & up_mask[j] not in up_set:
+                raise NotALattice(f"elements {x} and {j} have no join")
+    raise AssertionError("every join x v j exists")
 
 
 def _left_walk(
@@ -348,14 +400,18 @@ def ji_width_at_most_two(diagram: PlanarDiagram) -> bool:
     :func:`is_semimodular` has passed.
     """
     up, down = diagram.up, diagram.down
-    ji, _ = irreducibles(diagram)
+    ji = [x for x, low in enumerate(diagram.lower) if len(low) == 1]
     ji_mask = _mask(ji)
-    inc = {x: ji_mask & ~(up[x] | down[x]) for x in ji}
     for x in ji:
-        ix = inc[x]
-        for y in posets.bit_indices(ix >> x << x):
-            if ix & inc[y]:
+        # the members of J(L) incomparable to x, and those of them above x in index
+        ix = ji_mask & ~(up[x] | down[x])
+        rest = ix >> x << x
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            if ix & ~(up[y] | down[y]):
                 return False
+            rest ^= low
     return True
 
 

@@ -54,20 +54,6 @@ def topological_order(covers: Sequence[Sequence[int]]) -> list[int]:
     return order
 
 
-def up_masks(covers: Sequence[Sequence[int]], order: Sequence[int] | None = None) -> list[int]:
-    """Reflexive reachability masks computed over the cover digraph."""
-    n = len(covers)
-    if order is None:
-        order = topological_order(covers)
-    up = [0] * n
-    for x in reversed(order):
-        mask = 1 << x
-        for j in covers[x]:
-            mask |= up[j]
-        up[x] = mask
-    return up
-
-
 def heights(covers: Sequence[Sequence[int]], order: Sequence[int] | None = None) -> list[int]:
     """Length of the longest chain up to each element from a minimal one."""
     n = len(covers)

@@ -25,7 +25,15 @@ from slimfork import (
     principal_congruence,
     rectangular_profile,
 )
-from slimfork.errors import ValidationError
+from slimfork.diagram import DIAGRAM_MAX_ELEMENTS, _left_walk
+from slimfork.errors import (
+    CycleDetected,
+    DuplicateCover,
+    NotALattice,
+    NotBounded,
+    TooLarge,
+    ValidationError,
+)
 
 ACCEPTANCE_SPEC = EnumSpec(p_max=4, q_max=4, max_forks=3, max_elements=40)
 
@@ -141,6 +149,79 @@ def lattice_corpus() -> list[PlanarDiagram]:
     ]
 
 
+def up_masks(covers, order=None) -> list[int]:
+    """Reflexive reachability masks computed over the cover digraph."""
+    n = len(covers)
+    if order is None:
+        order = posets.topological_order(covers)
+    up = [0] * n
+    for x in reversed(order):
+        mask = 1 << x
+        for j in covers[x]:
+            mask |= up[j]
+        up[x] = mask
+    return up
+
+
+def build_diagram_multipass(upper) -> PlanarDiagram:
+    """Oracle for ``build_diagram``: a separate pass per table, and every join x v j tested.
+
+    Checks in the same order and raises the same exceptions with the
+    same messages; the rows of the result are not interned.
+    """
+    n = len(upper)
+    if n == 0:
+        raise NotBounded("empty diagram has no least element")
+    if n > DIAGRAM_MAX_ELEMENTS:
+        raise TooLarge(f"diagram has {n} elements; the cap is {DIAGRAM_MAX_ELEMENTS}")
+    ups: list[list[int]] = []
+    for i, raw in enumerate(upper):
+        row = [int(j) for j in raw]
+        for j in row:
+            if j < 0 or j >= n:
+                raise ValidationError(f"element {i} lists cover {j} outside [0, {n})")
+            if j == i:
+                raise CycleDetected(f"element {i} covers itself")
+        if len(set(row)) != len(row):
+            raise DuplicateCover(f"element {i} lists a cover twice: {row}")
+        ups.append(row)
+
+    order = posets.topological_order(ups)
+    up_mask = up_masks(ups, order)
+    for i, row in enumerate(ups):
+        above = 0
+        for k in row:
+            above |= up_mask[k] ^ 1 << k
+        for j in row:
+            if above >> j & 1:
+                raise ValidationError(f"edge {i} -< {j} is implied by a longer chain")
+
+    preds = posets.predecessor_lists(ups)
+    down_mask = up_masks(preds, order[::-1])
+    minimal = [i for i in range(n) if down_mask[i] == 1 << i]
+    maximal = [i for i in range(n) if up_mask[i] == 1 << i]
+    if len(minimal) != 1:
+        raise NotBounded(f"no unique least element; minimal elements: {minimal}")
+    if len(maximal) != 1:
+        raise NotBounded(f"no unique greatest element; maximal elements: {maximal}")
+    bottom, top = minimal[0], maximal[0]
+
+    height = posets.heights(ups, order)
+    rank, _ = _left_walk(ups, bottom)
+    lows = [sorted(pre, key=rank.__getitem__) for pre in preds]
+
+    up_set = set(up_mask)
+    ji = [j for j, pre in enumerate(preds) if len(pre) == 1]
+    for x, ux in enumerate(up_mask):
+        for j in ji:
+            if ux & up_mask[j] not in up_set:
+                raise NotALattice(f"elements {x} and {j} have no join")
+    return PlanarDiagram(
+        tuple(map(tuple, ups)), tuple(map(tuple, lows)), None, None,
+        tuple(up_mask), tuple(down_mask), tuple(height), bottom, top,
+    )
+
+
 def all_pairs_is_lattice(upper) -> bool:
     """Oracle for the lattice check of ``build_diagram``: every pair has a meet and a join.
 
@@ -148,8 +229,8 @@ def all_pairs_is_lattice(upper) -> bool:
     reduced digraph.
     """
     n = len(upper)
-    up_mask = posets.up_masks(upper)
-    down_mask = posets.up_masks(posets.predecessor_lists(upper))
+    up_mask = up_masks(upper)
+    down_mask = up_masks(posets.predecessor_lists(upper))
     down_index, up_index = set(down_mask), set(up_mask)
     for x in range(n):
         dx, ux = down_mask[x], up_mask[x]

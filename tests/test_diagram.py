@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import re
@@ -130,7 +131,7 @@ def _check_lattice_verdict(upper):
     except NotALattice as exc:
         assert not is_lattice, upper
         x, y = map(int, re.fullmatch(r"elements (\d+) and (\d+) have no join", str(exc)).groups())
-        up = posets.up_masks(upper)
+        up = helpers.up_masks(upper)
         assert up[x] & up[y] not in up, (upper, str(exc))
     else:
         assert is_lattice, upper
@@ -161,6 +162,105 @@ class TestLatticeCheck:
     @pytest.mark.parametrize("diagram", helpers.lattice_corpus(), ids=lambda d: d.name)
     def test_oracle_accepts_corpus(self, diagram):
         assert helpers.all_pairs_is_lattice(diagram.upper)
+
+
+def _build_outcome(build, upper):
+    """The tables a build gives, or the type and message of what it raises."""
+    try:
+        d = build(upper)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d.upper, d.lower, d.up, d.down, d.heights, d.bottom, d.top
+
+
+def _shuffled(upper, rng: random.Random) -> list[list[int]]:
+    """``upper`` with its elements renamed at random, so index order is not topological."""
+    perm = helpers.random_permutation(len(upper), rng)
+    out = [[] for _ in upper]
+    for i, row in enumerate(upper):
+        out[perm[i]] = [perm[j] for j in row]
+    return out
+
+
+def _malformed(rng: random.Random) -> list[list[int]]:
+    """A shuffled bounded poset's upper lists with one to three seeded defects."""
+    n = rng.randint(3, 9)
+    related = [p for p in itertools.combinations(range(1, n - 1), 2) if rng.random() < 0.4]
+    upper = _shuffled(helpers.bounded_poset(n, related), rng)
+    up = helpers.up_masks(upper)
+    top = next(x for x, m in enumerate(up) if m == 1 << x)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(n)
+        row = upper[i]
+        above = [j for j in range(n) if up[i] >> j & 1 and j != i]
+        kind = rng.randrange(7)
+        if kind == 0 and above:  # a cycle
+            upper[rng.choice(above)].append(i)
+        elif kind == 1:
+            row.insert(rng.randint(0, len(row)), rng.choice([-2, -1, len(upper), len(upper) + 1]))
+        elif kind == 2:
+            row.insert(rng.randint(0, len(row)), i)
+        elif kind == 3 and row:
+            row.insert(rng.randint(0, len(row)), rng.choice(row))
+        elif kind == 4:  # an edge that a longer chain implies
+            far = [j for j in above if j not in row]
+            if far:
+                row.insert(rng.randint(0, len(row)), rng.choice(far))
+        elif kind == 5:  # a second minimal or a second maximal element
+            if rng.random() < 0.5:
+                upper.append([i])
+            else:
+                row.append(len(upper))
+                upper.append([])
+        else:  # a second minimal upper bound of two elements, below the top
+            a, b = rng.randrange(n), rng.randrange(n)
+            upper[a].append(len(upper))
+            upper[b].append(len(upper))
+            upper.append([top])
+    return upper
+
+
+class TestBuildAgainstMultipass:
+    """build_diagram against the oracle that scans each table in its own pass."""
+
+    def _same(self, upper):
+        got = _build_outcome(build_diagram, upper)
+        assert got == _build_outcome(helpers.build_diagram_multipass, upper), upper
+        return got
+
+    def test_acceptance_classes_and_grid_forks(self, acceptance_family):
+        g = grid(GridSpec(3, 4))
+        forks = [insert_fork(g, cell).diagram for cell in four_cells(g)]
+        diagrams = [entry.diagram for entry in acceptance_family.members()] + forks
+        assert len(diagrams) == 842 + 6
+        for d in diagrams:
+            assert self._same(d.upper) == (
+                d.upper, d.lower, d.up, d.down, d.heights, d.bottom, d.top
+            )
+
+    def test_seeded_bounded_posets(self):
+        rng = random.Random(22_001)
+        refused = 0
+        for _ in range(3_000):
+            # no bounded poset of 5 or fewer elements fails to be a lattice
+            n = rng.randint(3, 10) if rng.random() < 0.5 else 10
+            density = rng.uniform(0.2, 0.6)
+            related = [
+                p for p in itertools.combinations(range(1, n - 1), 2) if rng.random() < density
+            ]
+            got = self._same(_shuffled(helpers.bounded_poset(n, related), rng))
+            refused += got[0] is NotALattice
+        assert refused >= 300, refused
+
+    def test_seeded_malformed_inputs(self):
+        rng = random.Random(22_002)
+        raised = collections.Counter()
+        for _ in range(2_000):
+            got = self._same(_malformed(rng))
+            if isinstance(got[0], type):
+                raised[got[0]] += 1
+        kinds = (CycleDetected, ValidationError, DuplicateCover, NotBounded)
+        assert all(raised[kind] >= 100 for kind in kinds), raised
 
 
 class TestTables:

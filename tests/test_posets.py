@@ -18,14 +18,14 @@ def test_topological_order_rejects_cycle():
 
 
 def test_up_masks_chain():
-    up = posets.up_masks([[1], [2], []])
+    up = helpers.up_masks([[1], [2], []])
     assert up == [0b111, 0b110, 0b100]
 
 
 def test_cover_lists_from_up_drops_transitive_edges():
-    up = posets.up_masks([[1], [2], []])
+    up = helpers.up_masks([[1], [2], []])
     assert posets.cover_lists_from_up(up) == [[1], [2], []]
-    square = posets.up_masks([[1, 2], [3], [3], []])
+    square = helpers.up_masks([[1, 2], [3], [3], []])
     assert posets.cover_lists_from_up(square) == [[1, 2], [3], [3], []]
 
 
@@ -62,13 +62,13 @@ def test_canonical_key_distinguishes_and_identifies():
 
 
 def test_maximal_elements():
-    square = posets.up_masks([[1, 2], [3], [3], []])
+    square = helpers.up_masks([[1, 2], [3], [3], []])
     assert posets.maximal_elements(square) == [3]
     assert posets.maximal_elements([0b01, 0b10]) == [0, 1]
 
 
 def test_join_irreducible_order_of_pentagon():
-    up = posets.up_masks([[1, 3], [2], [4], [4], []])
+    up = helpers.up_masks([[1, 3], [2], [4], [4], []])
     # one lower cover each: a=1, b=2, c=3; b lies above a only
     assert posets.join_irreducible_order(up) == ([1, 2, 3], [0b011, 0b010, 0b100])
 
