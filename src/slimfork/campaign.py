@@ -31,7 +31,6 @@ from .congruence import (
     filter_candidate,
     is_prime_ideal,
     jh_permutation,
-    prime_ideal_congruence,
     principal_ideal,
     swing_ji_congruences,
 )
@@ -331,10 +330,10 @@ def verify_claims(family: FamilyIndex) -> ClaimReport:
     are two distinct dual atoms (:func:`rectangular_profile` never picks
     the bottom or the top as a boundary element). not_c3: no congruence
     lattice is the three-element chain.
-    Every verdict is read from J(Con L), which the Swing Lemma engine
-    gives without a closure, since every member is slim, planar and
-    semimodular; the full congruence lattice is never built. Failures
-    are counted and carry the replayable witness script.
+    Every verdict is read from J(Con L), which the Swing Lemma engine gives
+    without a closure, since every member is slim, planar and semimodular, and
+    from the ideal masks; no Con L or partition is built. Failures are counted
+    and carry the replayable witness script.
     """
     start = time.perf_counter()
     checked = {name: 0 for name in CLAIM_NAMES}
@@ -390,12 +389,13 @@ def boundary_ideal_facts(
 ) -> tuple[bool, dict]:
     """The prime-ideal claim for the two boundary elements, fact by fact.
 
-    Records both principal ideals, whether they are distinct and
-    whether each is prime. Only when all three hold is
-    ``distinct_dual_atoms`` added: whether both two-block congruences
-    are dual atoms of Con L, decided from ``ji``. Distinct ideals give
-    distinct two-block congruences. Returns whether the claim holds
-    (exactly when ``distinct_dual_atoms`` is present and true) and the facts.
+    Records both principal ideals, whether they are distinct and whether each
+    is prime. Only when all three hold is ``distinct_dual_atoms`` added:
+    whether both two-block congruences are dual atoms of Con L, decided from
+    ``ji`` and the ideal masks. A prime ideal's congruence collapses a with b
+    exactly when both lie on one side of it (test oracle:
+    ``prime_ideal_congruence``); distinct ideals give distinct ones. Returns
+    whether the claim holds (``distinct_dual_atoms`` is true) and the facts.
     """
     left = principal_ideal(lattice, profile.c_l)
     right = principal_ideal(lattice, profile.c_r)
@@ -410,8 +410,8 @@ def boundary_ideal_facts(
     }
     if facts["distinct"] and facts["left_prime"] and facts["right_prime"]:
         facts["distinct_dual_atoms"] = all(
-            ji.is_dual_atom(prime_ideal_congruence(lattice, ideal))
-            for ideal in (left, right)
+            ji.is_dual_atom(lambda a, b: (mask >> a ^ mask >> b) & 1 == 0)
+            for mask in (lattice.down[profile.c_l], lattice.down[profile.c_r])
         )
     return facts.get("distinct_dual_atoms", False), facts
 

@@ -24,8 +24,8 @@ The full congruence lattice is built only on demand, as the joins of the
 down-sets of J(Con L), and is capped at CON_MAX_MEMBERS congruences.
 
 Also provided: a brute-force oracle that tests every set partition,
-prime ideals and their two-block congruences, and the
-necessary-condition filter applied to candidate congruence lattices.
+prime ideals (the claim reads their masks, with the partition oracle
+:func:`prime_ideal_congruence`), and the necessary-condition filter.
 """
 
 from __future__ import annotations
@@ -307,15 +307,15 @@ class JiPoset:
             atoms.append(_join_all(self.members[i].n, rest))
         return sorted(atoms, key=Partition.sort_key)
 
-    def is_dual_atom(self, theta: Partition) -> bool:
-        """Whether the congruence theta is a dual atom of Con L.
+    def is_dual_atom(self, collapses: Callable[[int, int], bool]) -> bool:
+        """Whether a congruence theta is a dual atom of Con L.
 
-        It is exactly when one member fails to refine theta and that
-        member is maximal. A member con(a, b) refines theta exactly when
-        theta collapses a with b, so no member partition is read. theta
-        must be a congruence of the lattice.
+        ``collapses(a, b)`` must be the pair test of a congruence theta,
+        such as ``theta.same`` or a prime ideal's mask test. A member
+        con(a, b) refines theta exactly when theta collapses a with b, so
+        theta is a dual atom exactly when one member fails and is maximal.
         """
-        outside = [i for i, (a, b) in enumerate(self.generators) if not theta.same(a, b)]
+        outside = [i for i, (a, b) in enumerate(self.generators) if not collapses(a, b)]
         return len(outside) == 1 and self.up[outside[0]] == 1 << outside[0]
 
 
@@ -699,10 +699,10 @@ def is_prime_ideal(diagram: PlanarDiagram, ideal) -> bool:
 def prime_ideal_congruence(diagram: PlanarDiagram, ideal) -> Partition:
     """The two-block partition separating a prime ideal from its complement.
 
-    Always a congruence, and always a dual atom of the congruence
-    lattice since any strictly coarser congruence must merge the two
-    blocks. Both facts are re-checked directly: non-primality raises
-    NotPrime and a compatibility failure raises ValidatorFailed.
+    Always a congruence, and a dual atom of Con L, since a coarser
+    congruence merges the two blocks. The prime-ideal claim reads this
+    off the ideal mask; this test oracle re-checks both facts: NotPrime
+    for a non-prime ideal, ValidatorFailed for a compatibility failure.
     """
     if not is_prime_ideal(diagram, ideal):
         raise NotPrime("the given ideal is not a proper nonempty prime ideal")

@@ -242,14 +242,15 @@ def _fork_upper(
 def insert_fork(diagram: PlanarDiagram, cell: FourCell) -> ForkResult:
     """Insert a fork at a covering square of a slim semimodular diagram.
 
-    The cover lists come from :func:`_fork_upper`. The result must be a
-    lattice one level taller than the parent, graded, semimodular and
-    slim; otherwise ValidatorFailed is raised. Both structural tests are
+    The cover lists come from :func:`_fork_upper`. The result must be a lattice
+    one level taller than the parent, graded, semimodular and slim; otherwise
+    ValidatorFailed is raised. Semimodular implies graded (Jordan–Dedekind), so
+    gradedness is tested only to name a failure. Both structural tests are
     local: semimodularity is Birkhoff's covering condition
-    (:func:`is_semimodular`), and slimness, tested once semimodularity
-    holds, is the width test on J(L) (:func:`ji_width_at_most_two`). A
-    failed width test is reported as "result contains a diamond", its
-    meaning on planar semimodular lattices. The parent is left unchanged.
+    (:func:`is_semimodular`), and slimness, tested once semimodularity holds,
+    is the width test on J(L) (:func:`ji_width_at_most_two`). A failed width
+    test is reported as "result contains a diamond", its meaning on planar
+    semimodular lattices. The parent is left unchanged.
     """
     upper, m, left_leg, right_leg = _fork_upper(diagram, cell)
     labels = None
@@ -263,10 +264,9 @@ def insert_fork(diagram: PlanarDiagram, cell: FourCell) -> ForkResult:
 
     if out.height(out.top) != diagram.height(diagram.top) + 1:
         raise ValidatorFailed(f"fork at {cell}: height did not increase by exactly 1")
-    if not is_graded(out):
-        raise ValidatorFailed(f"fork at {cell}: result is not graded")
     if not is_semimodular(out):
-        raise ValidatorFailed(f"fork at {cell}: result is not semimodular")
+        reason = "semimodular" if is_graded(out) else "graded"
+        raise ValidatorFailed(f"fork at {cell}: result is not {reason}")
     if not ji_width_at_most_two(out):
         raise ValidatorFailed(f"fork at {cell}: result contains a diamond")
     return ForkResult(out, m, left_leg, right_leg)

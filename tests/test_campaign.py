@@ -11,6 +11,7 @@ from slimfork import (
     EnumSpec,
     ForkScript,
     GridSpec,
+    RectangularProfile,
     build_diagram,
     canonical_key,
     congruence_lattice,
@@ -19,9 +20,12 @@ from slimfork import (
     four_cells,
     grid,
     insert_fork,
+    is_congruence,
     is_graded,
+    is_prime_ideal,
     is_semimodular,
     is_slim,
+    ji_congruences,
     ji_poset_of,
     ji_width_at_most_two,
     jh_permutation,
@@ -31,10 +35,12 @@ from slimfork import (
     principal_ideal,
     rectangular_profile,
     search_representation,
+    swing_ji_congruences,
     verify_claims,
 )
 from slimfork import campaign as campaign_module
-from slimfork.campaign import NOTE_SINGLE_DUAL_ATOM
+from slimfork import congruence as congruence_module
+from slimfork.campaign import NOTE_SINGLE_DUAL_ATOM, boundary_ideal_facts
 from slimfork.errors import BudgetExceeded, NotDistributive, ValidationError, ValidatorFailed
 
 
@@ -308,6 +314,86 @@ class TestVerifyClaims:
         family, report, _ = campaign
         assert family.candidates == 1737
         assert report.to_obj()["stats"] == {"candidates": 1737, "classes": 842}
+
+    def test_no_compatibility_scan(self, campaign, monkeypatch):
+        family, report, _ = campaign
+
+        def refuse(diagram, part):
+            raise AssertionError("verify_claims ran a compatibility scan")
+
+        monkeypatch.setattr(congruence_module, "is_congruence", refuse)
+        untimed = verify_claims(family).to_obj(include_timing=False)
+        assert untimed == report.to_obj(include_timing=False)
+
+
+def _pair_table(lattice, collapses):
+    """A pair test read on every pair of an element with the bottom or the top."""
+    return [collapses(x, e) for x in range(lattice.n) for e in (lattice.bottom, lattice.top)]
+
+
+class _RecordingJi:
+    """A JiPoset stand-in that records each is_dual_atom call as it is made.
+
+    The pair test may close over a loop variable, so it is read at call
+    time, not afterwards.
+    """
+
+    def __init__(self, lattice, ji):
+        self.lattice, self.ji, self.calls = lattice, ji, []
+
+    def is_dual_atom(self, collapses):
+        verdict = self.ji.is_dual_atom(collapses)
+        self.calls.append((verdict, _pair_table(self.lattice, collapses)))
+        return verdict
+
+
+def assert_mask_tests_match_partitions(lattice, profile, ji):
+    """The prime-ideal claim's mask tests agree with the two-block partitions.
+
+    Each partition comes from the oracle ``prime_ideal_congruence`` and
+    must pass the full compatibility scan. Each mask test must decide
+    ``is_dual_atom`` as the partition's ``same`` does, and agree with it
+    on every pair with the bottom or the top.
+    """
+    recording = _RecordingJi(lattice, ji)
+    ok, _ = boundary_ideal_facts(lattice, profile, recording)
+    assert ok and len(recording.calls) == 2
+    for c, (verdict, table) in zip((profile.c_l, profile.c_r), recording.calls):
+        part = prime_ideal_congruence(lattice, principal_ideal(lattice, c))
+        assert is_congruence(lattice, part)
+        assert verdict == ji.is_dual_atom(part.same)
+        assert table == _pair_table(lattice, part.same)
+
+
+class TestPrimeIdealMasks:
+    """The prime-ideal claim reads the ideal masks; the partitions are its oracle."""
+
+    def test_every_acceptance_class(self, acceptance_family):
+        for entry in acceptance_family.members():
+            ji = swing_ji_congruences(entry.diagram)
+            assert_mask_tests_match_partitions(entry.diagram, entry.profile, ji)
+
+    def test_every_prime_principal_ideal_of_the_corpus(self):
+        # pairs each prime with the next, so every prime is read on both sides;
+        # the 2-element chain has a single prime ideal and no pair
+        paired = 0
+        for diagram in helpers.lattice_corpus():
+            primes = [x for x in range(diagram.n) if is_prime_ideal(diagram, principal_ideal(diagram, x))]
+            if len(primes) < 2:
+                continue
+            ji = ji_congruences(diagram)
+            for x, y in zip(primes, primes[1:] + primes[:1]):
+                assert_mask_tests_match_partitions(diagram, RectangularProfile(x, y), ji)
+                paired += 1
+        assert paired == 36
+
+
+class TestDualAtomCount:
+    def test_grid_rank_on_every_acceptance_class(self, acceptance_family):
+        # the paper's "at least two", as the exact count (p - 1) + (q - 1)
+        for entry in acceptance_family.members():
+            count = dual_atom_count(swing_ji_congruences(entry.diagram).up)
+            assert count == entry.script.grid.p + entry.script.grid.q - 2, entry.script.to_obj()
 
 
 class TestSearchRepresentation:

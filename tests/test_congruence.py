@@ -425,7 +425,7 @@ class TestSwingJiCongruences:
             congruence, "_forest", lambda n, edges: built.append(n) or real(n, edges)
         )
         assert len(ji) == 3 and dual_atom_count(ji.up) == 2
-        assert not ji.is_dual_atom(Partition.singletons(s7.n))
+        assert not ji.is_dual_atom(Partition.singletons(s7.n).same)
         assert built == []
         members = ji.members
         assert len(built) == 3 and len(members) == 3
@@ -499,8 +499,8 @@ class TestJiPredicates:
         ji = ji_congruences(diagram)
         from_con = ji_poset_of(oracle)
         for i, part in enumerate(oracle.members):
-            assert ji.is_dual_atom(part) == (i in coatoms), part.blocks()
-            assert from_con.is_dual_atom(part) == (i in coatoms), part.blocks()
+            assert ji.is_dual_atom(part.same) == (i in coatoms), part.blocks()
+            assert from_con.is_dual_atom(part.same) == (i in coatoms), part.blocks()
 
 
 class TestDualAtoms:

@@ -152,8 +152,10 @@ class TestInsertFork:
             ([[1, 2, 3], [4], [4], [4], [5], []], "contains a diamond"),
             # M3: a lattice of the 2x2 grid's height
             ([[1, 2, 3], [4], [4], [4], []], "height did not increase"),
+            # N5: one level above the 2x2 grid, neither graded nor semimodular
+            ([[1, 3], [2], [4], [4], []], "not graded"),
         ],
-        ids=["dual-s7", "m3-tail", "m3"],
+        ids=["dual-s7", "m3-tail", "m3", "n5"],
     )
     def test_build_fork_rejects_hand_built_edits(self, g22, upper, message, monkeypatch):
         monkeypatch.setattr(construct, "_fork_upper", lambda diagram, cell: (upper, len(upper) - 1, (), ()))
